@@ -261,6 +261,7 @@ func TestRunFlagValidation(t *testing.T) {
 		"negative checkpoint period": {"-workload", "hm_1", "-journal", "x", "-checkpoint-every", "-1"},
 		"journal with all":           {"-workload", "hm_1", "-journal", "x", "-all"},
 		"journal with custom layer":  {"-workload", "hm_1", "-journal", "x", "-layer", "segls"},
+		"pcache with fault rate":     {"-workload", "hm_1", "-geometry", "band", "-pcache", "4096", "-fault-rate", "0.01"},
 
 		// Observability flags follow exactly one simulation: they conflict
 		// with -all (many runs) and with standalone -recover (no run).

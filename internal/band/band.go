@@ -747,9 +747,10 @@ func (d *Device) cleanBand(b int64) {
 		d.cleaning.CleanWriteSectors += region.Count
 	}
 	for _, lba := range d.fragBuf {
-		for _, m := range d.cmap.Delete(lba) {
+		d.cmap.DeleteFunc(lba, func(m extmap.Mapping) bool {
 			d.release(m)
-		}
+			return true
+		})
 	}
 	bs.cached = 0
 	d.dirtyBands--

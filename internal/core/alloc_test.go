@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"smrseek/internal/band"
 	"smrseek/internal/disk"
 	"smrseek/internal/geom"
 	"smrseek/internal/trace"
@@ -72,5 +74,59 @@ func TestStepZeroAllocsLS(t *testing.T) {
 	}
 	if st.CacheMisses == 0 {
 		t.Fatalf("workload never consulted the selective cache; stats %+v", st)
+	}
+}
+
+// TestStepZeroAllocsBanded pins the banded hot path: NoLS over a POL-A
+// band.Device with a persistent cache, warmed until every cycle cleans
+// bands, must not allocate per Step — cache redirects, unit allocation
+// and the band cleaner's mapping deletes included.
+func TestStepZeroAllocsBanded(t *testing.T) {
+	dev, err := band.New(band.Config{
+		BandSectors:  256,
+		CacheSectors: 2048,
+		UnitSectors:  512,
+		DataSectors:  1 << 20,
+		Policy:       band.PolA,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSimulator(Config{Device: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Random rewrites and reads over 32 bands: the cache fills past its
+	// cleaning threshold within a cycle, and the same records replay each
+	// cycle, so the band table and the cache map reach a fixed size.
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]trace.Record, 2000)
+	for i := range recs {
+		kind := disk.Read
+		if rng.Intn(2) == 0 {
+			kind = disk.Write
+		}
+		recs[i] = trace.Record{Kind: kind, Extent: geom.Ext(rng.Int63n(1<<13), 1+rng.Int63n(512))}
+	}
+	cycle := func() {
+		for _, r := range recs {
+			sim.Step(r)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("steady-state banded Step allocated %.2f times per cycle, want 0", allocs)
+	}
+
+	// Guard against the workload silently degenerating: a cycle that
+	// never reached the cleaner proved nothing about it.
+	before := dev.Cleaning().BandsCleaned
+	cycle()
+	if dev.Cleaning().BandsCleaned == before {
+		t.Fatalf("a warm cycle cleaned no bands; cleaning %+v", dev.Cleaning())
 	}
 }

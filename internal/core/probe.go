@@ -273,8 +273,8 @@ func (s *Simulator) Finish() {
 		return
 	}
 	sum := Summary{WAF: 1}
-	if s.amplifier != nil {
-		sum.WAF = stl.WAF(s.amplifier)
+	if s.maintainer != nil {
+		sum.WAF = stl.WAF(s.maintainer)
 	}
 	if s.wal != nil {
 		sum.CheckpointAge = s.wal.SinceCheckpoint()

@@ -29,9 +29,9 @@ type Config struct {
 	// CustomLayer, when non-nil, replaces the built-in layer entirely
 	// (e.g. a gc.Layer with finite-log cleaning or an mcache.Layer).
 	// Layers implementing stl.Maintainer get their background I/O played
-	// through the disk model after each host operation; layers
-	// implementing stl.Amplifier contribute Stats.WAF. Mechanisms
-	// compose with custom layers exactly as with LS.
+	// through the disk model after each host operation and contribute
+	// Stats.WAF. Mechanisms compose with custom layers exactly as with
+	// LS.
 	CustomLayer stl.Layer
 	// Defrag enables opportunistic defragmentation when non-nil.
 	Defrag *DefragConfig
@@ -229,7 +229,6 @@ type Simulator struct {
 	layer      stl.Layer
 	ls         *stl.LS        // nil unless the built-in LS layer is used
 	maintainer stl.Maintainer // nil unless the layer generates background I/O
-	amplifier  stl.Amplifier  // nil unless the layer reports WAF
 	dev        disk.Device
 	defrag     *Defragmenter
 	prefetch   *Prefetcher
@@ -245,17 +244,11 @@ type Simulator struct {
 	probes    []Probe // observability probes; empty => zero instrumentation cost
 	inMaint   bool    // true while draining background maintenance I/O
 
-	// Zero-allocation hot path: layers that implement the stl.Append*
-	// capability interfaces resolve and place into these per-simulator
-	// scratch buffers instead of allocating a slice per operation. The
-	// fields are nil for custom layers without the capability, and the
-	// slice paths below fall back to Layer/Previewer.
-	resolver stl.AppendResolver
-	writer   stl.AppendWriter
-	prewrite stl.AppendPreviewer
-	preview  stl.Previewer  // slice fallback for relocations
-	fragBuf  []stl.Fragment // read resolutions (also backs ReadEvent.Fragments)
-	writeBuf []stl.Fragment // write and relocation placements
+	// Per-simulator scratch buffers the layer appends into, so the
+	// per-access hot path allocates nothing once they are warm.
+	fragBuf  []stl.Fragment      // read resolutions (also backs ReadEvent.Fragments)
+	writeBuf []stl.Fragment      // write and relocation placements
+	maintBuf []stl.MaintenanceOp // drained background I/O
 }
 
 // NewSimulator builds a simulator from the configuration. Probes passed
@@ -289,21 +282,6 @@ func NewSimulator(cfg Config, probes ...Probe) (*Simulator, error) {
 	}
 	if m, ok := s.layer.(stl.Maintainer); ok {
 		s.maintainer = m
-	}
-	if a, ok := s.layer.(stl.Amplifier); ok {
-		s.amplifier = a
-	}
-	if r, ok := s.layer.(stl.AppendResolver); ok {
-		s.resolver = r
-	}
-	if w, ok := s.layer.(stl.AppendWriter); ok {
-		s.writer = w
-	}
-	if pw, ok := s.layer.(stl.AppendPreviewer); ok {
-		s.prewrite = pw
-	}
-	if pv, ok := s.layer.(stl.Previewer); ok {
-		s.preview = pv
 	}
 	if cfg.translated() {
 		if cfg.Defrag != nil {
@@ -414,8 +392,8 @@ func (s *Simulator) Stats() Stats {
 		st.DefragSectors = s.defrag.WrittenBackSectors()
 	}
 	st.WAF = 1
-	if s.amplifier != nil {
-		st.WAF = stl.WAF(s.amplifier)
+	if s.maintainer != nil {
+		st.WAF = stl.WAF(s.maintainer)
 	}
 	if s.injector != nil {
 		c := s.injector.Counters()
@@ -459,7 +437,8 @@ func (s *Simulator) drainMaintenance() {
 		return
 	}
 	s.inMaint = true
-	for _, op := range s.maintainer.PendingMaintenance() {
+	s.maintBuf = s.maintainer.Maintenance(s.maintBuf[:0])
+	for _, op := range s.maintBuf {
 		// Maintenance faults are retried like host I/O; an unrecovered
 		// one is recorded by access. The layer's own bookkeeping already
 		// moved on, mirroring firmware that logs and continues.
@@ -527,14 +506,8 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 			return
 		}
 	}
-	var placed []stl.Fragment
-	if s.writer != nil {
-		s.writeBuf = s.writer.WriteAppend(s.writeBuf[:0], rec.Extent)
-		placed = s.writeBuf
-	} else {
-		placed = s.layer.Write(rec.Extent)
-	}
-	for _, f := range placed {
+	s.writeBuf = s.layer.Write(s.writeBuf[:0], rec.Extent)
+	for _, f := range s.writeBuf {
 		// Host writes are not rolled back on an unrecovered fault: the
 		// translation already remapped the LBA, mirroring a drive that
 		// remaps and reports the failure upward. access records it.
@@ -551,13 +524,8 @@ func (s *Simulator) stepWrite(rec trace.Record) {
 
 func (s *Simulator) stepRead(rec trace.Record) {
 	s.stats.Reads++
-	var frags []stl.Fragment
-	if s.resolver != nil {
-		s.fragBuf = s.resolver.ResolveAppend(s.fragBuf[:0], rec.Extent)
-		frags = s.fragBuf
-	} else {
-		frags = s.layer.Resolve(rec.Extent)
-	}
+	s.fragBuf = s.layer.Resolve(s.fragBuf[:0], rec.Extent)
+	frags := s.fragBuf
 	s.stats.TotalFragments += int64(len(frags))
 	if len(frags) > s.stats.MaxFragments {
 		s.stats.MaxFragments = len(frags)
@@ -633,22 +601,16 @@ func (s *Simulator) stepRead(rec trace.Record) {
 }
 
 // relocate rewrites lba contiguously at the log head (a defrag
-// write-back). With a layer that can preview placement the relocation is
-// atomic under faults: the disk I/O is attempted first and the mapping
-// committed only if every attempt succeeds, so an aborted rewrite leaves
-// the extent map resolving every LBA to its pre-defrag location. Layers
-// without preview fall back to write-then-play; their unrecovered faults
-// are recorded but the remap stands.
+// write-back). On the built-in LS layer, which can preview placement,
+// the relocation is atomic under faults: the disk I/O is attempted first
+// and the mapping committed only if every attempt succeeds, so an
+// aborted rewrite leaves the extent map resolving every LBA to its
+// pre-defrag location. Other layers write then play; their unrecovered
+// faults are recorded but the remap stands.
 func (s *Simulator) relocate(lba geom.Extent) {
-	if s.preview != nil {
-		var previewed []stl.Fragment
-		if s.prewrite != nil {
-			s.writeBuf = s.prewrite.PreviewWriteAppend(s.writeBuf[:0], lba)
-			previewed = s.writeBuf
-		} else {
-			previewed = s.preview.PreviewWrite(lba)
-		}
-		for _, f := range previewed {
+	if s.ls != nil {
+		s.writeBuf = s.ls.PreviewWrite(s.writeBuf[:0], lba)
+		for _, f := range s.writeBuf {
 			if err := s.access(disk.Write, f.PhysExtent()); err != nil {
 				s.stats.Resilience.AbortedRelocations++
 				s.emitMech(MechAbortedRelocation, 0)
@@ -666,20 +628,10 @@ func (s *Simulator) relocate(lba geom.Extent) {
 			}
 		}
 		// Commit; the disk I/O was already played.
-		if s.writer != nil {
-			s.writeBuf = s.writer.WriteAppend(s.writeBuf[:0], lba)
-		} else {
-			s.layer.Write(lba)
-		}
+		s.writeBuf = s.ls.Write(s.writeBuf[:0], lba)
 	} else {
-		var placed []stl.Fragment
-		if s.writer != nil {
-			s.writeBuf = s.writer.WriteAppend(s.writeBuf[:0], lba)
-			placed = s.writeBuf
-		} else {
-			placed = s.layer.Write(lba)
-		}
-		for _, f := range placed {
+		s.writeBuf = s.layer.Write(s.writeBuf[:0], lba)
+		for _, f := range s.writeBuf {
 			s.access(disk.Write, f.PhysExtent())
 		}
 	}

@@ -51,10 +51,15 @@ func TestInsertFuncZeroAllocs(t *testing.T) {
 	for _, v := range []struct {
 		name string
 		mk   func() *Map
-	}{{"New", New}, {"NewCoalesced", NewCoalesced}} {
+		// punch, when set, also deletes the middle of each inserted
+		// extent through DeleteFunc with a visitor, so the shared split
+		// loop runs from both entry points.
+		punch bool
+	}{{"New", New, false}, {"NewCoalesced", NewCoalesced, false}, {"DeleteFunc", New, true}} {
 		t.Run(v.name, func(t *testing.T) {
 			m := v.mk()
 			frontier := geom.Sector(1 << 30)
+			removed := int64(0)
 			// A fixed cycle of overwriting extents: after a warm-up round
 			// the per-cycle node churn repeats exactly, so the freelist
 			// absorbs every split and delete.
@@ -63,6 +68,12 @@ func TestInsertFuncZeroAllocs(t *testing.T) {
 					e := geom.Ext(i*100, 150) // overlaps the next extent: forces splits
 					m.InsertFunc(e, frontier, nil)
 					frontier += e.Count
+					if v.punch {
+						m.DeleteFunc(geom.Ext(i*100+50, 25), func(p Mapping) bool {
+							removed += p.Lba.Count
+							return true
+						})
+					}
 				}
 			}
 			for i := 0; i < 3; i++ {
@@ -70,7 +81,10 @@ func TestInsertFuncZeroAllocs(t *testing.T) {
 			}
 			allocs := testing.AllocsPerRun(50, cycle)
 			if allocs != 0 {
-				t.Fatalf("InsertFunc allocated %.1f times per run in steady state, want 0", allocs)
+				t.Fatalf("steady-state cycle allocated %.1f times per run, want 0", allocs)
+			}
+			if v.punch && removed == 0 {
+				t.Fatal("DeleteFunc never delivered a removed piece")
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Fatal(err)

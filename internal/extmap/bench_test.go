@@ -14,23 +14,10 @@ func buildMap(n int) *Map {
 	frontier := int64(1 << 30)
 	for i := 0; i < n; i++ {
 		e := geom.Ext(rng.Int63n(1<<24), int64(1+rng.Intn(64)))
-		m.Insert(e, frontier)
+		m.InsertFunc(e, frontier, nil)
 		frontier += e.Count
 	}
 	return m
-}
-
-func BenchmarkInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	m := New()
-	frontier := int64(1 << 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := geom.Ext(rng.Int63n(1<<24), int64(1+rng.Intn(64)))
-		m.Insert(e, frontier)
-		frontier += e.Count
-	}
 }
 
 func BenchmarkInsertFunc(b *testing.B) {
@@ -43,19 +30,6 @@ func BenchmarkInsertFunc(b *testing.B) {
 		e := geom.Ext(rng.Int63n(1<<24), int64(1+rng.Intn(64)))
 		m.InsertFunc(e, frontier, nil)
 		frontier += e.Count
-	}
-}
-
-func BenchmarkLookup(b *testing.B) {
-	for _, size := range []int{1000, 100000} {
-		m := buildMap(size)
-		rng := rand.New(rand.NewSource(3))
-		b.Run(itoa(size), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.Lookup(geom.Ext(rng.Int63n(1<<24), 256))
-			}
-		})
 	}
 }
 

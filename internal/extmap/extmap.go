@@ -60,7 +60,7 @@ type Map struct {
 	root *node
 	n    int // number of mappings
 	// coalesce, when set, merges mappings that are adjacent in LBA space
-	// and contiguous in PBA space at Insert time, keeping the map minimal.
+	// and contiguous in PBA space at insert time, keeping the map minimal.
 	coalesce bool
 	// mapped caches the total mapped sector count so MappedSectors is
 	// O(1); insertNode/deleteStart keep it current and CheckInvariants
@@ -70,7 +70,7 @@ type Map struct {
 	// and split churn recycles nodes here instead of hitting the GC, and
 	// refills come in slabs of nodeSlabSize.
 	free *node
-	// scratch is the reusable overlap buffer for InsertFunc/Delete; it
+	// scratch is the reusable overlap buffer for InsertFunc/DeleteFunc; it
 	// is why callbacks must not mutate the map re-entrantly.
 	scratch []Mapping
 }
@@ -308,12 +308,26 @@ func (t *Map) overlapScratch(q geom.Extent) []Mapping {
 // ascending LBA order; fn may be nil when the caller does not care. A
 // false return stops further notifications, but the insert itself
 // always completes. The Mapping value is only valid during the
-// callback, and fn must not mutate the map. This is the
-// allocation-free core of Insert.
+// callback, and fn must not mutate the map.
 func (t *Map) InsertFunc(lba geom.Extent, pba geom.Sector, fn func(Mapping) bool) {
 	if lba.Empty() {
 		return
 	}
+	t.DeleteFunc(lba, fn)
+	t.insertNode(Mapping{Lba: lba, Pba: pba})
+	if t.coalesce {
+		t.coalesceAround(Mapping{Lba: lba, Pba: pba})
+	}
+}
+
+// DeleteFunc removes any mapping of the LBA extent and passes each
+// removed piece to fn with InsertFunc's contract: ascending LBA order,
+// fn may be nil, a false return stops notifications but not the delete,
+// and fn must not mutate the map. It is also InsertFunc's split loop.
+// Surviving pieces of straddling mappings keep their original physical
+// placement; a mapping overlapping lba leaves at most a left and a
+// right remainder.
+func (t *Map) DeleteFunc(lba geom.Extent, fn func(Mapping) bool) {
 	notify := fn != nil
 	for _, old := range t.overlapScratch(lba) {
 		t.deleteStart(old.Lba.Start, old.Lba.Count)
@@ -321,9 +335,6 @@ func (t *Map) InsertFunc(lba geom.Extent, pba geom.Sector, fn func(Mapping) bool
 			ov := old.Lba.Intersect(lba)
 			notify = fn(Mapping{Lba: ov, Pba: old.Pba + (ov.Start - old.Lba.Start)})
 		}
-		// Surviving pieces keep their original physical placement; a
-		// mapping overlapping lba leaves at most a left and a right
-		// remainder.
 		if old.Lba.Start < lba.Start {
 			t.insertNode(Mapping{Lba: geom.Span(old.Lba.Start, lba.Start), Pba: old.Pba})
 		}
@@ -334,21 +345,6 @@ func (t *Map) InsertFunc(lba geom.Extent, pba geom.Sector, fn func(Mapping) bool
 			})
 		}
 	}
-	t.insertNode(Mapping{Lba: lba, Pba: pba})
-	if t.coalesce {
-		t.coalesceAround(Mapping{Lba: lba, Pba: pba})
-	}
-}
-
-// Insert is InsertFunc collecting the displaced pieces into a fresh
-// slice — the convenient form for cold paths and tests.
-func (t *Map) Insert(lba geom.Extent, pba geom.Sector) []Mapping {
-	var displaced []Mapping
-	t.InsertFunc(lba, pba, func(m Mapping) bool {
-		displaced = append(displaced, m)
-		return true
-	})
-	return displaced
 }
 
 // coalesceAround merges the just-inserted mapping with its LBA
@@ -380,36 +376,8 @@ func (t *Map) coalesceAround(m Mapping) {
 	t.insertNode(Mapping{Lba: geom.Span(lo.Lba.Start, hi.Lba.End()), Pba: lo.Pba})
 }
 
-// Delete removes any mapping of the LBA extent (splitting mappings that
-// straddle its boundary) and returns the removed pieces.
-func (t *Map) Delete(lba geom.Extent) []Mapping {
-	if lba.Empty() {
-		return nil
-	}
-	var removed []Mapping
-	for _, old := range t.overlapScratch(lba) {
-		t.deleteStart(old.Lba.Start, old.Lba.Count)
-		ov := old.Lba.Intersect(lba)
-		removed = append(removed, Mapping{
-			Lba: ov,
-			Pba: old.Pba + (ov.Start - old.Lba.Start),
-		})
-		if old.Lba.Start < lba.Start {
-			t.insertNode(Mapping{Lba: geom.Span(old.Lba.Start, lba.Start), Pba: old.Pba})
-		}
-		if old.Lba.End() > lba.End() {
-			t.insertNode(Mapping{
-				Lba: geom.Span(lba.End(), old.Lba.End()),
-				Pba: old.Pba + (lba.End() - old.Lba.Start),
-			})
-		}
-	}
-	return removed
-}
-
 // resolveEmitter merges consecutive Resolved pieces that are contiguous
-// in both address spaces before handing each maximal fragment to fn. It
-// is the streaming equivalent of the old slice-building merge loop.
+// in both address spaces before handing each maximal fragment to fn.
 type resolveEmitter struct {
 	fn   func(Resolved) bool
 	pend Resolved
@@ -441,10 +409,15 @@ func (e *resolveEmitter) flush() {
 	}
 }
 
-// LookupFunc resolves the LBA extent like Lookup but streams each
-// fragment to fn instead of building a slice, allocating nothing; a
-// false return from fn stops the resolution. The Resolved value is only
-// valid during the callback, and fn must not mutate the map.
+// LookupFunc resolves the LBA extent into fragments, streamed to fn in
+// ascending LBA order without allocating; a false return from fn stops
+// the resolution. Unmapped gaps are delivered with Identity=true and Pba
+// equal to the LBA start (the paper's "unwritten data is stored at a
+// physical location corresponding to its LBA"). The pieces are maximal:
+// consecutive pieces that are contiguous in both LBA and PBA space are
+// merged — so each Resolved is one *fragment* and the number delivered
+// is the read's dynamic fragmentation. The Resolved value is only valid
+// during the callback, and fn must not mutate the map.
 func (t *Map) LookupFunc(q geom.Extent, fn func(Resolved) bool) {
 	if q.Empty() {
 		return
@@ -475,25 +448,6 @@ func (t *Map) LookupFunc(q geom.Extent, fn func(Resolved) bool) {
 		}
 	}
 	em.flush()
-}
-
-// Lookup resolves the LBA extent into mappings, in ascending LBA order.
-// Unmapped gaps are returned with Identity=true and Pba equal to the LBA
-// start (the paper's "unwritten data is stored at a physical location
-// corresponding to its LBA"). The pieces are maximal: consecutive pieces
-// that are contiguous in both LBA and PBA space are merged — so each
-// returned Resolved is one *fragment* and len(result) is the read's
-// dynamic fragmentation. It is LookupFunc collecting into a fresh slice.
-func (t *Map) Lookup(q geom.Extent) []Resolved {
-	if q.Empty() {
-		return nil
-	}
-	var out []Resolved
-	t.LookupFunc(q, func(r Resolved) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
 }
 
 // Resolved is one physically-contiguous fragment of a resolved LBA range.

@@ -8,13 +8,43 @@ import (
 	"smrseek/internal/geom"
 )
 
+// insert, remove and lookup collect what the map's visitors deliver,
+// so a test can assert on a whole result at once.
+
+func insert(m *Map, lba geom.Extent, pba geom.Sector) []Mapping {
+	var out []Mapping
+	m.InsertFunc(lba, pba, func(p Mapping) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
+}
+
+func remove(m *Map, lba geom.Extent) []Mapping {
+	var out []Mapping
+	m.DeleteFunc(lba, func(p Mapping) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
+}
+
+func lookup(m *Map, q geom.Extent) []Resolved {
+	var out []Resolved
+	m.LookupFunc(q, func(r Resolved) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
 func resolveEq(a, b Resolved) bool {
 	return a.Lba == b.Lba && a.Pba == b.Pba && a.Identity == b.Identity
 }
 
 func TestEmptyMapIdentity(t *testing.T) {
 	m := New()
-	got := m.Lookup(geom.Ext(100, 50))
+	got := lookup(m, geom.Ext(100, 50))
 	want := Resolved{Lba: geom.Ext(100, 50), Pba: 100, Identity: true}
 	if len(got) != 1 || !resolveEq(got[0], want) {
 		t.Fatalf("Lookup on empty map = %v, want [%v]", got, want)
@@ -25,21 +55,21 @@ func TestEmptyMapIdentity(t *testing.T) {
 	if m.Len() != 0 || m.MappedSectors() != 0 {
 		t.Error("empty map should have no mappings")
 	}
-	if m.Lookup(geom.Extent{}) != nil {
+	if lookup(m, geom.Extent{}) != nil {
 		t.Error("empty query returns nil")
 	}
 }
 
 func TestInsertLookupSimple(t *testing.T) {
 	m := New()
-	m.Insert(geom.Ext(10, 5), 1000)
-	got := m.Lookup(geom.Ext(10, 5))
+	m.InsertFunc(geom.Ext(10, 5), 1000, nil)
+	got := lookup(m, geom.Ext(10, 5))
 	if len(got) != 1 || got[0].Pba != 1000 || got[0].Identity {
 		t.Fatalf("Lookup = %v", got)
 	}
 	// A read straddling mapped and unmapped space has 3 fragments:
 	// identity prefix, relocated middle, identity suffix.
-	got = m.Lookup(geom.Ext(5, 15))
+	got = lookup(m, geom.Ext(5, 15))
 	if len(got) != 3 {
 		t.Fatalf("straddling read fragments = %v", got)
 	}
@@ -56,12 +86,12 @@ func TestInsertLookupSimple(t *testing.T) {
 
 func TestInsertOverwriteSplits(t *testing.T) {
 	m := New()
-	m.Insert(geom.Ext(0, 100), 1000) // [0,100) -> 1000
-	m.Insert(geom.Ext(40, 20), 2000) // punch a hole in the middle
+	m.InsertFunc(geom.Ext(0, 100), 1000, nil) // [0,100) -> 1000
+	m.InsertFunc(geom.Ext(40, 20), 2000, nil) // punch a hole in the middle
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", m.Len())
 	}
-	got := m.Lookup(geom.Ext(0, 100))
+	got := lookup(m, geom.Ext(0, 100))
 	want := []Resolved{
 		{Lba: geom.Ext(0, 40), Pba: 1000},
 		{Lba: geom.Ext(40, 20), Pba: 2000},
@@ -84,17 +114,17 @@ func TestLookupMergesContiguousPhys(t *testing.T) {
 	m := New()
 	// Two LBA-adjacent writes that also landed physically adjacent (the
 	// log-structured common case) must resolve as ONE fragment.
-	m.Insert(geom.Ext(10, 5), 1000)
-	m.Insert(geom.Ext(15, 5), 1005)
-	got := m.Lookup(geom.Ext(10, 10))
+	m.InsertFunc(geom.Ext(10, 5), 1000, nil)
+	m.InsertFunc(geom.Ext(15, 5), 1005, nil)
+	got := lookup(m, geom.Ext(10, 10))
 	if len(got) != 1 || got[0].Lba != geom.Ext(10, 10) || got[0].Pba != 1000 {
 		t.Fatalf("merge failed: %v", got)
 	}
 	// Adjacent identity gaps merge with each other too.
 	m2 := New()
-	m2.Insert(geom.Ext(50, 1), 999)
-	m2.Insert(geom.Ext(50, 1), 50) // map back to identity position
-	got = m2.Lookup(geom.Ext(45, 10))
+	m2.InsertFunc(geom.Ext(50, 1), 999, nil)
+	m2.InsertFunc(geom.Ext(50, 1), 50, nil) // map back to identity position
+	got = lookup(m2, geom.Ext(45, 10))
 	if len(got) != 1 || got[0].Lba != geom.Ext(45, 10) || got[0].Pba != 45 {
 		t.Fatalf("identity-position merge failed: %v", got)
 	}
@@ -110,7 +140,7 @@ func TestFragmentsCountsPaperExample(t *testing.T) {
 	dev := int64(100)
 	frontier := dev
 	write := func(e geom.Extent) {
-		m.Insert(e, frontier)
+		m.InsertFunc(e, frontier, nil)
 		frontier += e.Count
 	}
 	write(geom.Ext(1, 6)) // initial layout: LBAs 1..6 at log, contiguous
@@ -119,7 +149,7 @@ func TestFragmentsCountsPaperExample(t *testing.T) {
 	// Read LBA 2..5 inclusive = Ext(2, 4): pieces are 2 (old log), 3
 	// (new), 4 (old), 5 (new) — 4 fragments.
 	if got := m.Fragments(geom.Ext(2, 4)); got != 4 {
-		t.Fatalf("Fragments = %d, want 4 (%v)", got, m.Lookup(geom.Ext(2, 4)))
+		t.Fatalf("Fragments = %d, want 4 (%v)", got, lookup(m, geom.Ext(2, 4)))
 	}
 	// Defragment: rewrite 2..5 at the frontier; now a re-read is 1 fragment.
 	write(geom.Ext(2, 4))
@@ -141,13 +171,13 @@ func TestStaticFragments(t *testing.T) {
 	if got := m.StaticFragments(0); got != 0 {
 		t.Fatalf("zero device = %d, want 0", got)
 	}
-	m.Insert(geom.Ext(10, 5), 1000)
+	m.InsertFunc(geom.Ext(10, 5), 1000, nil)
 	// scan: [0,10) identity, [10,15)->1000, [15,100) identity = 3 pieces.
 	if got := m.StaticFragments(100); got != 3 {
 		t.Fatalf("static fragments = %d, want 3", got)
 	}
 	// Mapping beyond the device is ignored.
-	m.Insert(geom.Ext(200, 5), 2000)
+	m.InsertFunc(geom.Ext(200, 5), 2000, nil)
 	if got := m.StaticFragments(100); got != 3 {
 		t.Fatalf("static fragments with out-of-range mapping = %d, want 3", got)
 	}
@@ -156,7 +186,7 @@ func TestStaticFragments(t *testing.T) {
 func TestWalkOrderAndEarlyStop(t *testing.T) {
 	m := New()
 	for i := 0; i < 100; i++ {
-		m.Insert(geom.Ext(int64(i*10), 5), int64(10000+i*5))
+		m.InsertFunc(geom.Ext(int64(i*10), 5), int64(10000+i*5), nil)
 	}
 	var starts []int64
 	m.Walk(func(mm Mapping) bool {
@@ -191,7 +221,7 @@ func (s sectorModel) insert(lba geom.Extent, pba geom.Sector) {
 	}
 }
 
-// resolve produces merged fragments exactly as Map.Lookup should.
+// resolve produces merged fragments exactly as Map.LookupFunc should.
 func (s sectorModel) resolve(q geom.Extent) []Resolved {
 	var out []Resolved
 	for i := q.Start; i < q.End(); i++ {
@@ -222,11 +252,11 @@ func TestMapAgainstSectorModel(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		e := geom.Ext(int64(rng.Intn(space-30)), int64(1+rng.Intn(30)))
 		if rng.Intn(2) == 0 {
-			m.Insert(e, frontier)
+			m.InsertFunc(e, frontier, nil)
 			model.insert(e, frontier)
 			frontier += e.Count
 		} else {
-			got := m.Lookup(e)
+			got := lookup(m, e)
 			want := model.resolve(e)
 			if len(got) != len(want) {
 				t.Fatalf("step %d: Lookup(%v) = %v, want %v", step, e, got, want)
@@ -258,12 +288,12 @@ func TestLastWriteWinsProperty(t *testing.T) {
 		for _, op := range ops {
 			start := int64(op % 1000)
 			count := int64(op%64 + 1)
-			m.Insert(geom.Ext(start, count), frontier)
+			m.InsertFunc(geom.Ext(start, count), frontier, nil)
 			frontier += count
 		}
 		q := geom.Ext(int64(qs), int64(qc%32+1))
-		m.Insert(q, frontier)
-		got := m.Lookup(q)
+		m.InsertFunc(q, frontier, nil)
+		got := lookup(m, q)
 		if len(got) != 1 {
 			return false
 		}
@@ -274,19 +304,19 @@ func TestLastWriteWinsProperty(t *testing.T) {
 	}
 }
 
-// Property: Lookup always tiles the query exactly — fragments are in
+// Property: LookupFunc always tiles the query exactly — fragments are in
 // order, non-overlapping in LBA, and their union is the query.
 func TestLookupTilesQueryProperty(t *testing.T) {
 	f := func(ops []uint32, qs uint16, qc uint8) bool {
 		m := New()
 		frontier := int64(1 << 20)
 		for _, op := range ops {
-			m.Insert(geom.Ext(int64(op%2000), int64(op%64+1)), frontier)
+			m.InsertFunc(geom.Ext(int64(op%2000), int64(op%64+1)), frontier, nil)
 			frontier += int64(op%64 + 1)
 		}
 		q := geom.Ext(int64(qs%2100), int64(qc)+1)
 		cur := q.Start
-		for _, r := range m.Lookup(q) {
+		for _, r := range lookup(m, q) {
 			if r.Lba.Start != cur || r.Lba.Empty() {
 				return false
 			}
@@ -301,8 +331,8 @@ func TestLookupTilesQueryProperty(t *testing.T) {
 
 func TestMappedSectors(t *testing.T) {
 	m := New()
-	m.Insert(geom.Ext(0, 10), 100)
-	m.Insert(geom.Ext(5, 10), 200) // overlaps 5 sectors
+	m.InsertFunc(geom.Ext(0, 10), 100, nil)
+	m.InsertFunc(geom.Ext(5, 10), 200, nil) // overlaps 5 sectors
 	if got := m.MappedSectors(); got != 15 {
 		t.Fatalf("MappedSectors = %d, want 15", got)
 	}
@@ -310,8 +340,8 @@ func TestMappedSectors(t *testing.T) {
 
 func TestInsertReturnsDisplaced(t *testing.T) {
 	m := New()
-	m.Insert(geom.Ext(0, 100), 1000)
-	displaced := m.Insert(geom.Ext(40, 20), 2000)
+	m.InsertFunc(geom.Ext(0, 100), 1000, nil)
+	displaced := insert(m, geom.Ext(40, 20), 2000)
 	if len(displaced) != 1 {
 		t.Fatalf("displaced = %v", displaced)
 	}
@@ -319,7 +349,7 @@ func TestInsertReturnsDisplaced(t *testing.T) {
 		t.Errorf("displaced piece = %+v", displaced[0])
 	}
 	// Overwriting a range spanning two mappings displaces two pieces.
-	displaced = m.Insert(geom.Ext(30, 20), 3000)
+	displaced = insert(m, geom.Ext(30, 20), 3000)
 	if len(displaced) != 2 {
 		t.Fatalf("displaced = %v", displaced)
 	}
@@ -330,33 +360,33 @@ func TestInsertReturnsDisplaced(t *testing.T) {
 		t.Errorf("piece 1 = %+v", displaced[1])
 	}
 	// Writing unmapped space displaces nothing.
-	if d := m.Insert(geom.Ext(5000, 10), 4000); d != nil {
+	if d := insert(m, geom.Ext(5000, 10), 4000); d != nil {
 		t.Errorf("unmapped insert displaced %v", d)
 	}
 }
 
 func TestDelete(t *testing.T) {
 	m := New()
-	m.Insert(geom.Ext(0, 100), 1000)
-	removed := m.Delete(geom.Ext(40, 20))
+	m.InsertFunc(geom.Ext(0, 100), 1000, nil)
+	removed := remove(m, geom.Ext(40, 20))
 	if len(removed) != 1 || removed[0].Lba != geom.Ext(40, 20) || removed[0].Pba != 1040 {
 		t.Fatalf("removed = %v", removed)
 	}
 	// The hole resolves to identity now.
-	got := m.Lookup(geom.Ext(40, 20))
+	got := lookup(m, geom.Ext(40, 20))
 	if len(got) != 1 || !got[0].Identity {
 		t.Fatalf("after delete Lookup = %v", got)
 	}
 	// Surrounding pieces survive with correct placement.
-	got = m.Lookup(geom.Ext(0, 40))
+	got = lookup(m, geom.Ext(0, 40))
 	if len(got) != 1 || got[0].Pba != 1000 {
 		t.Fatalf("prefix = %v", got)
 	}
-	got = m.Lookup(geom.Ext(60, 40))
+	got = lookup(m, geom.Ext(60, 40))
 	if len(got) != 1 || got[0].Pba != 1060 {
 		t.Fatalf("suffix = %v", got)
 	}
-	if m.Delete(geom.Extent{}) != nil {
+	if remove(m, geom.Extent{}) != nil {
 		t.Error("empty delete should be nil")
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -379,7 +409,7 @@ func TestDisplacedConservationProperty(t *testing.T) {
 				want++
 			}
 		}
-		displaced := m.Insert(e, frontier)
+		displaced := insert(m, e, frontier)
 		var got int64
 		for _, d := range displaced {
 			got += d.Lba.Count
@@ -395,23 +425,23 @@ func TestDisplacedConservationProperty(t *testing.T) {
 func TestCoalescedInsertMergesNeighbors(t *testing.T) {
 	m := NewCoalesced()
 	// Sequential log writes: LBA-adjacent and PBA-contiguous — one mapping.
-	m.Insert(geom.Ext(10, 5), 1000)
-	m.Insert(geom.Ext(15, 5), 1005)
+	m.InsertFunc(geom.Ext(10, 5), 1000, nil)
+	m.InsertFunc(geom.Ext(15, 5), 1005, nil)
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 after coalescing", m.Len())
 	}
-	got := m.Lookup(geom.Ext(10, 10))
+	got := lookup(m, geom.Ext(10, 10))
 	if len(got) != 1 || got[0].Lba != geom.Ext(10, 10) || got[0].Pba != 1000 {
 		t.Fatalf("Lookup = %v", got)
 	}
 	// A gap-filling write merges with BOTH neighbours.
 	m2 := NewCoalesced()
-	m2.Insert(geom.Ext(0, 4), 2000)
-	m2.Insert(geom.Ext(8, 4), 2008)
+	m2.InsertFunc(geom.Ext(0, 4), 2000, nil)
+	m2.InsertFunc(geom.Ext(8, 4), 2008, nil)
 	if m2.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", m2.Len())
 	}
-	m2.Insert(geom.Ext(4, 4), 2004)
+	m2.InsertFunc(geom.Ext(4, 4), 2004, nil)
 	if m2.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 after bridging insert", m2.Len())
 	}
@@ -420,8 +450,8 @@ func TestCoalescedInsertMergesNeighbors(t *testing.T) {
 	}
 	// LBA-adjacent but physically discontiguous mappings stay separate.
 	m3 := NewCoalesced()
-	m3.Insert(geom.Ext(0, 4), 3000)
-	m3.Insert(geom.Ext(4, 4), 9000)
+	m3.InsertFunc(geom.Ext(0, 4), 3000, nil)
+	m3.InsertFunc(geom.Ext(4, 4), 9000, nil)
 	if m3.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 for discontiguous neighbours", m3.Len())
 	}
@@ -431,7 +461,7 @@ func TestCoalescedInsertMergesNeighbors(t *testing.T) {
 }
 
 // TestCoalescedAgainstSectorModel replays the randomized sector-model
-// workload against a coalescing map: Lookup results must be unchanged by
+// workload against a coalescing map: LookupFunc results must be unchanged by
 // coalescing, and the coalesced invariant must hold throughout.
 func TestCoalescedAgainstSectorModel(t *testing.T) {
 	const space = 400
@@ -442,11 +472,11 @@ func TestCoalescedAgainstSectorModel(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		e := geom.Ext(int64(rng.Intn(space-30)), int64(1+rng.Intn(30)))
 		if rng.Intn(2) == 0 {
-			m.Insert(e, frontier)
+			m.InsertFunc(e, frontier, nil)
 			model.insert(e, frontier)
 			frontier += e.Count
 		} else {
-			got := m.Lookup(e)
+			got := lookup(m, e)
 			want := model.resolve(e)
 			if len(got) != len(want) {
 				t.Fatalf("step %d: Lookup(%v) = %v, want %v", step, e, got, want)
@@ -470,8 +500,8 @@ func TestCoalescedAgainstSectorModel(t *testing.T) {
 
 func TestCoalesceAtSectorZero(t *testing.T) {
 	m := NewCoalesced()
-	m.Insert(geom.Ext(0, 4), 1000) // start-1 == -1 must not trip the neighbour query
-	m.Insert(geom.Ext(4, 4), 1004)
+	m.InsertFunc(geom.Ext(0, 4), 1000, nil) // start-1 == -1 must not trip the neighbour query
+	m.InsertFunc(geom.Ext(4, 4), 1004, nil)
 	if m.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", m.Len())
 	}
@@ -485,25 +515,25 @@ func TestDiffAndEqual(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("two empty maps must be equal")
 	}
-	a.Insert(geom.Ext(0, 10), 1000)
-	b.Insert(geom.Ext(0, 10), 1000)
+	a.InsertFunc(geom.Ext(0, 10), 1000, nil)
+	b.InsertFunc(geom.Ext(0, 10), 1000, nil)
 	if d := a.Diff(b); d != "" {
 		t.Fatalf("identical maps differ: %s", d)
 	}
-	b.Insert(geom.Ext(20, 5), 2000)
+	b.InsertFunc(geom.Ext(20, 5), 2000, nil)
 	if a.Equal(b) {
 		t.Fatal("maps with different counts must differ")
 	}
-	a.Insert(geom.Ext(20, 5), 2001) // same shape, different PBA
+	a.InsertFunc(geom.Ext(20, 5), 2001, nil) // same shape, different PBA
 	if d := a.Diff(b); d == "" {
 		t.Fatal("maps with different PBAs must differ")
 	}
 	// Same contents built in a different insertion order are equal.
 	c, d := New(), New()
-	c.Insert(geom.Ext(0, 10), 100)
-	c.Insert(geom.Ext(50, 10), 200)
-	d.Insert(geom.Ext(50, 10), 200)
-	d.Insert(geom.Ext(0, 10), 100)
+	c.InsertFunc(geom.Ext(0, 10), 100, nil)
+	c.InsertFunc(geom.Ext(50, 10), 200, nil)
+	d.InsertFunc(geom.Ext(50, 10), 200, nil)
+	d.InsertFunc(geom.Ext(0, 10), 100, nil)
 	if !c.Equal(d) {
 		t.Fatalf("order-independent equality failed: %s", c.Diff(d))
 	}

@@ -14,7 +14,7 @@ import (
 // flat per-sector array. The array cannot represent mapping *structure*
 // (how sectors group into mappings), so structure-dependent results are
 // compared as per-sector sets; everything the simulator actually
-// consumes (Lookup fragments, displaced/removed sectors, mapped totals,
+// consumes (LookupFunc fragments, displaced/removed sectors, mapped totals,
 // static fragmentation) is derivable from the array exactly.
 
 var propSeed = flag.Int64("extmap.seed", 0,
@@ -75,7 +75,7 @@ func (m *refModel) resolve(s geom.Sector) (geom.Sector, bool) {
 	return m.pba[s], false
 }
 
-// lookup derives the exact Lookup result from the array: maximal runs
+// lookup derives the exact LookupFunc result from the array: maximal runs
 // of physically-consecutive sectors, Identity = every sector unmapped.
 func (m *refModel) lookup(q geom.Extent) []Resolved {
 	var out []Resolved
@@ -169,9 +169,9 @@ func resolvedEqual(a, b []Resolved) bool {
 }
 
 // TestPropertyDifferential drives New and NewCoalesced maps through a
-// random mix of Insert/Delete/Lookup against the reference model,
-// checking structural invariants after every mutation. Failures log the
-// seed; rerun with -extmap.seed to reproduce.
+// random mix of InsertFunc/DeleteFunc/LookupFunc against the reference
+// model, checking structural invariants after every mutation. Failures
+// log the seed; rerun with -extmap.seed to reproduce.
 func TestPropertyDifferential(t *testing.T) {
 	seed := *propSeed
 	if seed == 0 {
@@ -214,45 +214,24 @@ func TestPropertyDifferential(t *testing.T) {
 					} else {
 						nextPba += lba.Count
 					}
-					var got []sectorMapping
-					if i%2 == 0 {
-						// Drive the visitor API directly; Insert is its
-						// slice-collecting wrapper, so alternating covers
-						// both entry points differentially.
-						var pieces []Mapping
-						m.InsertFunc(lba, pba, func(p Mapping) bool {
-							pieces = append(pieces, p)
-							return true
-						})
-						got = flatten(pieces)
-					} else {
-						got = flatten(m.Insert(lba, pba))
-					}
+					got := flatten(insert(m, lba, pba))
 					want := ref.insert(lba, pba)
 					if !sectorsEqual(got, want) {
-						t.Fatalf("op %d: Insert(%v, %d) displaced %v, reference %v", i, lba, pba, got, want)
+						t.Fatalf("op %d: InsertFunc(%v, %d) displaced %v, reference %v", i, lba, pba, got, want)
 					}
 				case op < 7:
 					lba := randExt()
-					got := flatten(m.Delete(lba))
+					got := flatten(remove(m, lba))
 					want := ref.delete(lba)
 					if !sectorsEqual(got, want) {
-						t.Fatalf("op %d: Delete(%v) removed %v, reference %v", i, lba, got, want)
+						t.Fatalf("op %d: DeleteFunc(%v) removed %v, reference %v", i, lba, got, want)
 					}
 				default:
 					q := randExt()
-					got := m.Lookup(q)
+					got := lookup(m, q)
 					want := ref.lookup(q)
 					if !resolvedEqual(got, want) {
-						t.Fatalf("op %d: Lookup(%v) = %v, reference %v", i, q, got, want)
-					}
-					var streamed []Resolved
-					m.LookupFunc(q, func(r Resolved) bool {
-						streamed = append(streamed, r)
-						return true
-					})
-					if !resolvedEqual(streamed, want) {
-						t.Fatalf("op %d: LookupFunc(%v) streamed %v, reference %v", i, q, streamed, want)
+						t.Fatalf("op %d: LookupFunc(%v) = %v, reference %v", i, q, got, want)
 					}
 					if len(want) > 1 {
 						// Early stop yields exactly the first fragment.
@@ -287,7 +266,7 @@ func TestPropertyDifferential(t *testing.T) {
 				}
 			}
 			// Final whole-space sweep: the two sides agree sector by sector.
-			full := m.Lookup(geom.Ext(0, device))
+			full := lookup(m, geom.Ext(0, device))
 			if want := ref.lookup(geom.Ext(0, device)); !resolvedEqual(full, want) {
 				t.Fatalf("final sweep diverges: %v vs %v", full, want)
 			}

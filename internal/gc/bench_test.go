@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smrseek/internal/geom"
+	"smrseek/internal/stl"
 )
 
 func benchLayer(b *testing.B, policy Policy) {
@@ -18,11 +19,13 @@ func benchLayer(b *testing.B, policy Policy) {
 		b.Fatal(err)
 	}
 	seed := uint64(1)
+	var placed []stl.Fragment
+	var ops []stl.MaintenanceOp
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Write(geom.Ext(int64(seed%(400*1024)), 16))
-		l.PendingMaintenance()
+		placed = l.Write(placed[:0], geom.Ext(int64(seed%(400*1024)), 16))
+		ops = l.Maintenance(ops[:0])
 	}
 	b.ReportMetric(float64(l.Cleanings()), "cleanings")
 }
@@ -38,12 +41,14 @@ func BenchmarkResolve(b *testing.B) {
 	seed := uint64(2)
 	for i := 0; i < 20000; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Write(geom.Ext(int64(seed%(400*1024)), 16))
-		l.PendingMaintenance()
+		l.Write(nil, geom.Ext(int64(seed%(400*1024)), 16))
+		l.Maintenance(nil)
 	}
+	var frags []stl.Fragment
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Resolve(geom.Ext(int64(seed%(400*1024)), 256))
+		frags = l.Resolve(frags[:0], geom.Ext(int64(seed%(400*1024)), 256))
 	}
 }

@@ -8,10 +8,10 @@
 // greedily (least live data) or by LFS cost-benefit (age × free share) —
 // relocates its live extents to the log head, and recycles it. The
 // relocation I/O is surfaced through stl.Maintainer so the simulator's
-// disk model charges its seeks, and stl.Amplifier reports the resulting
-// write amplification, letting experiments put numbers on the paper's
-// claim that a full-map log-structured STL trades cleaning for read
-// seeks while the media-cache design does the opposite.
+// disk model charges its seeks, and the same interface reports the
+// resulting write amplification, letting experiments put numbers on the
+// paper's claim that a full-map log-structured STL trades cleaning for
+// read seeks while the media-cache design does the opposite.
 package gc
 
 import (
@@ -125,15 +125,7 @@ func New(cfg Config) (*Layer, error) {
 func (l *Layer) Name() string { return "SegLS(" + l.cfg.Policy.String() + ")" }
 
 // Resolve implements stl.Layer.
-func (l *Layer) Resolve(lba geom.Extent) []stl.Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return l.ResolveAppend(nil, lba)
-}
-
-// ResolveAppend implements stl.AppendResolver.
-func (l *Layer) ResolveAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
+func (l *Layer) Resolve(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	l.m.LookupFunc(lba, func(r extmap.Resolved) bool {
 		dst = append(dst, stl.Fragment{Lba: r.Lba, Pba: r.Pba})
 		return true
@@ -144,17 +136,17 @@ func (l *Layer) ResolveAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragmen
 // Write implements stl.Layer: the extent is placed at the log head
 // (splitting across segments as needed); cleaning runs afterwards if
 // free segments fell below the low watermark.
-func (l *Layer) Write(lba geom.Extent) []stl.Fragment {
+func (l *Layer) Write(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	if lba.Empty() {
-		return nil
+		return dst
 	}
 	l.now++
 	l.hostSectors += lba.Count
-	frags := l.place(lba)
+	dst = l.place(dst, lba)
 	if len(l.free) < l.cfg.FreeLowWater {
 		l.clean()
 	}
-	return frags
+	return dst
 }
 
 func (l *Layer) segBase(i int) geom.Sector {
@@ -165,10 +157,10 @@ func (l *Layer) segOf(pba geom.Sector) int {
 	return int((pba - l.logStart) / l.cfg.SegmentSectors)
 }
 
-// place appends the extent at the log head and maintains live counts.
-// It never triggers cleaning itself, so the cleaner can call it safely.
-func (l *Layer) place(lba geom.Extent) []stl.Fragment {
-	var frags []stl.Fragment
+// place appends the extent at the log head, appends its fragments to
+// dst and maintains live counts. It never triggers cleaning itself, so
+// the cleaner can call it safely.
+func (l *Layer) place(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	rest := lba
 	for !rest.Empty() {
 		room := l.cfg.SegmentSectors - l.off
@@ -189,19 +181,20 @@ func (l *Layer) place(lba geom.Extent) []stl.Fragment {
 		}
 		piece := geom.Ext(rest.Start, n)
 		pba := l.segBase(l.cur) + l.off
-		for _, d := range l.m.Insert(piece, pba) {
+		l.m.InsertFunc(piece, pba, func(d extmap.Mapping) bool {
 			// Displaced pieces always live in the log region (identity
 			// data is never mapped).
 			l.segs[l.segOf(d.Pba)].live -= d.Lba.Count
-		}
+			return true
+		})
 		seg := &l.segs[l.cur]
 		seg.live += n
 		seg.lastWrite = l.now
 		l.off += n
-		frags = append(frags, stl.Fragment{Lba: piece, Pba: pba})
+		dst = append(dst, stl.Fragment{Lba: piece, Pba: pba})
 		rest = geom.Span(piece.End(), rest.End())
 	}
-	return frags
+	return dst
 }
 
 func (l *Layer) popFree() (int, bool) {
@@ -267,11 +260,13 @@ func (l *Layer) cleanSegment(victim int) {
 		}
 		return true
 	})
+	var placed []stl.Fragment
 	for _, m := range live {
 		// Read the live extent from the victim...
 		l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Read, Extent: m.PhysExtent()})
 		// ...and rewrite it at the log head.
-		for _, f := range l.place(m.Lba) {
+		placed = l.place(placed[:0], m.Lba)
+		for _, f := range placed {
 			l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Write, Extent: f.PhysExtent()})
 		}
 		l.extraSectors += m.Lba.Count
@@ -283,17 +278,17 @@ func (l *Layer) cleanSegment(victim int) {
 	l.cleanings++
 }
 
-// PendingMaintenance implements stl.Maintainer.
-func (l *Layer) PendingMaintenance() []stl.MaintenanceOp {
-	out := l.pending
-	l.pending = nil
-	return out
+// Maintenance implements stl.Maintainer.
+func (l *Layer) Maintenance(dst []stl.MaintenanceOp) []stl.MaintenanceOp {
+	dst = append(dst, l.pending...)
+	l.pending = l.pending[:0]
+	return dst
 }
 
-// HostSectors implements stl.Amplifier.
+// HostSectors implements stl.Maintainer.
 func (l *Layer) HostSectors() int64 { return l.hostSectors }
 
-// ExtraSectors implements stl.Amplifier.
+// ExtraSectors implements stl.Maintainer.
 func (l *Layer) ExtraSectors() int64 { return l.extraSectors }
 
 // Cleanings returns how many segments have been cleaned.
@@ -308,5 +303,4 @@ func (l *Layer) Fragments(lba geom.Extent) int { return l.m.Fragments(lba) }
 var (
 	_ stl.Layer      = (*Layer)(nil)
 	_ stl.Maintainer = (*Layer)(nil)
-	_ stl.Amplifier  = (*Layer)(nil)
 )

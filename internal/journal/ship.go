@@ -106,7 +106,10 @@ func ShipFrom(dir string, gen uint64, off int64, maxBytes int) (ShipChunk, error
 		return ShipChunk{}, err
 	}
 	end := sealedEnd(d)
-	if off >= end {
+	if off >= end || end == headerSize {
+		// Nothing sealed past off. A generation with no seals yet — the
+		// state right after a checkpoint rebirth — has nothing to ship
+		// either: a header-only chunk carries no segment to verify.
 		return ShipChunk{Kind: ShipNone, Gen: jgen, Off: off}, nil
 	}
 	// Clip to the furthest seal boundary within maxBytes of off; a single

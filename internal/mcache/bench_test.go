@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smrseek/internal/geom"
+	"smrseek/internal/stl"
 )
 
 func BenchmarkWriteAndMerge(b *testing.B) {
@@ -16,11 +17,13 @@ func BenchmarkWriteAndMerge(b *testing.B) {
 		b.Fatal(err)
 	}
 	seed := uint64(1)
+	var placed []stl.Fragment
+	var ops []stl.MaintenanceOp
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Write(geom.Ext(int64(seed%(1<<20-64)), 16))
-		l.PendingMaintenance()
+		placed = l.Write(placed[:0], geom.Ext(int64(seed%(1<<20-64)), 16))
+		ops = l.Maintenance(ops[:0])
 	}
 	b.ReportMetric(float64(l.Merges()), "merges")
 }
@@ -33,11 +36,13 @@ func BenchmarkResolveCached(b *testing.B) {
 	seed := uint64(2)
 	for i := 0; i < 5000; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Write(geom.Ext(int64(seed%(1<<22)), 16))
+		l.Write(nil, geom.Ext(int64(seed%(1<<22)), 16))
 	}
+	var frags []stl.Fragment
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed = seed*6364136223846793005 + 1442695040888963407
-		l.Resolve(geom.Ext(int64(seed%(1<<22)), 256))
+		frags = l.Resolve(frags[:0], geom.Ext(int64(seed%(1<<22)), 256))
 	}
 }

@@ -7,9 +7,9 @@
 // producing the high cleaning overhead the paper's log-structured
 // alternative avoids.
 //
-// The layer implements stl.Layer for address translation, stl.Maintainer
-// to surface merge I/O to the simulator's disk model, and stl.Amplifier
-// to report write amplification. A zone.Device underneath validates that
+// The layer implements stl.Layer for address translation and
+// stl.Maintainer to surface merge I/O to the simulator's disk model and
+// report write amplification. A zone.Device underneath validates that
 // every physical write obeys SMR sequential-write constraints.
 package mcache
 
@@ -128,15 +128,7 @@ func (l *Layer) Name() string { return "MediaCache" }
 
 // Resolve implements stl.Layer: unmerged updates resolve into the cache
 // region; everything else is at its LBA.
-func (l *Layer) Resolve(lba geom.Extent) []stl.Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return l.ResolveAppend(nil, lba)
-}
-
-// ResolveAppend implements stl.AppendResolver.
-func (l *Layer) ResolveAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
+func (l *Layer) Resolve(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	l.m.LookupFunc(lba, func(r extmap.Resolved) bool {
 		dst = append(dst, stl.Fragment{Lba: r.Lba, Pba: r.Pba})
 		return true
@@ -147,12 +139,11 @@ func (l *Layer) ResolveAppend(dst []stl.Fragment, lba geom.Extent) []stl.Fragmen
 // Write implements stl.Layer: the extent is appended to the media cache
 // (split when it wraps), and a merge is queued when the cache fills past
 // the trigger.
-func (l *Layer) Write(lba geom.Extent) []stl.Fragment {
+func (l *Layer) Write(dst []stl.Fragment, lba geom.Extent) []stl.Fragment {
 	if lba.Empty() {
-		return nil
+		return dst
 	}
 	l.hostSectors += lba.Count
-	var frags []stl.Fragment
 	rest := lba
 	for !rest.Empty() {
 		if l.spaceLeft() == 0 {
@@ -169,17 +160,17 @@ func (l *Layer) Write(lba geom.Extent) []stl.Fragment {
 			// programming error; fail loudly.
 			panic(fmt.Sprintf("mcache: cache append rejected: %v", err))
 		}
-		l.m.Insert(piece, pba)
+		l.m.InsertFunc(piece, pba, nil)
 		l.head += n
 		l.used += n
 		l.dirtyRange(piece)
-		frags = append(frags, stl.Fragment{Lba: piece, Pba: pba})
+		dst = append(dst, stl.Fragment{Lba: piece, Pba: pba})
 		rest = geom.Span(piece.End(), rest.End())
 	}
 	if float64(l.used) >= l.cfg.MergeTrigger*float64(l.cfg.CacheSectors) {
 		l.merge()
 	}
-	return frags
+	return dst
 }
 
 func (l *Layer) spaceLeft() int64 {
@@ -212,12 +203,12 @@ func (l *Layer) merge() {
 		// Read the zone's current contents.
 		l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Read, Extent: zext})
 		// Read each cached fragment belonging to the zone.
-		for _, r := range l.m.Lookup(zext) {
-			if r.Identity {
-				continue
+		l.m.LookupFunc(zext, func(r extmap.Resolved) bool {
+			if !r.Identity {
+				l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Read, Extent: r.PhysExtent()})
 			}
-			l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Read, Extent: r.PhysExtent()})
-		}
+			return true
+		})
 		// Rewrite the zone in place, sequentially from its start.
 		if err := l.dev.Reset(zi); err != nil {
 			panic(fmt.Sprintf("mcache: reset zone %d: %v", zi, err))
@@ -227,7 +218,7 @@ func (l *Layer) merge() {
 		}
 		l.pending = append(l.pending, stl.MaintenanceOp{Kind: disk.Write, Extent: zext})
 		l.extraSectors += l.cfg.ZoneSectors
-		l.m.Delete(zext)
+		l.m.DeleteFunc(zext, nil)
 		l.mergedZones++
 	}
 	l.dirty = make(map[int]bool)
@@ -240,17 +231,17 @@ func (l *Layer) merge() {
 // convenience so comparisons include the deferred cleaning cost).
 func (l *Layer) Flush() { l.merge() }
 
-// PendingMaintenance implements stl.Maintainer.
-func (l *Layer) PendingMaintenance() []stl.MaintenanceOp {
-	out := l.pending
-	l.pending = nil
-	return out
+// Maintenance implements stl.Maintainer.
+func (l *Layer) Maintenance(dst []stl.MaintenanceOp) []stl.MaintenanceOp {
+	dst = append(dst, l.pending...)
+	l.pending = l.pending[:0]
+	return dst
 }
 
-// HostSectors implements stl.Amplifier.
+// HostSectors implements stl.Maintainer.
 func (l *Layer) HostSectors() int64 { return l.hostSectors }
 
-// ExtraSectors implements stl.Amplifier.
+// ExtraSectors implements stl.Maintainer.
 func (l *Layer) ExtraSectors() int64 { return l.extraSectors }
 
 // Merges returns how many merge passes have run; MergedZones the total
@@ -269,5 +260,4 @@ func (l *Layer) Device() *zone.Device { return l.dev }
 var (
 	_ stl.Layer      = (*Layer)(nil)
 	_ stl.Maintainer = (*Layer)(nil)
-	_ stl.Amplifier  = (*Layer)(nil)
 )

@@ -14,17 +14,15 @@ type MaintenanceOp struct {
 	Extent geom.Extent // physical sectors
 }
 
-// Maintainer is implemented by translation layers that generate
-// background I/O. After each host operation the simulator drains
-// PendingMaintenance and plays the operations in order.
+// Maintainer is implemented by translation layers that relocate data on
+// their own behalf (segment cleaning, media-cache merges): they queue
+// background I/O and report the write amplification it causes. After
+// each host operation the simulator drains Maintenance and plays the
+// operations in order.
 type Maintainer interface {
-	// PendingMaintenance returns and clears the queued background I/O.
-	PendingMaintenance() []MaintenanceOp
-}
-
-// Amplifier is implemented by layers that relocate data internally and
-// can therefore report a write amplification factor.
-type Amplifier interface {
+	// Maintenance appends the queued background I/O to dst and clears
+	// the queue, keeping the layer's queue buffer for reuse.
+	Maintenance(dst []MaintenanceOp) []MaintenanceOp
 	// HostSectors returns sectors written by the host; ExtraSectors
 	// returns sectors the layer wrote on its own behalf (merges,
 	// cleaning). WAF = (Host+Extra)/Host.
@@ -32,12 +30,12 @@ type Amplifier interface {
 	ExtraSectors() int64
 }
 
-// WAF computes a write amplification factor from an Amplifier; a layer
+// WAF computes a write amplification factor from a Maintainer; a layer
 // that has written nothing reports 1.
-func WAF(a Amplifier) float64 {
-	host := a.HostSectors()
+func WAF(m Maintainer) float64 {
+	host := m.HostSectors()
 	if host == 0 {
 		return 1
 	}
-	return float64(host+a.ExtraSectors()) / float64(host)
+	return float64(host+m.ExtraSectors()) / float64(host)
 }

@@ -88,7 +88,7 @@ func Recover(snap *journal.Snapshot, d journal.Data) (*LS, ReplayStats, error) {
 		l.frontier = snap.Frontier
 		l.written = snap.Written
 		for _, m := range snap.Mappings {
-			l.m.Insert(m.Lba, m.Pba)
+			l.m.InsertFunc(m.Lba, m.Pba, nil)
 		}
 	} else {
 		l.frontier = d.InitFrontier
@@ -108,7 +108,7 @@ func Recover(snap *journal.Snapshot, d journal.Data) (*LS, ReplayStats, error) {
 					"stl: record %d places %v at pba %d but the replay frontier is %d (checkpoint/journal mismatch?)",
 					i, rec.Lba, rec.Pba, l.frontier)
 			}
-			l.m.Insert(rec.Lba, rec.Pba)
+			l.m.InsertFunc(rec.Lba, rec.Pba, nil)
 			l.frontier += rec.Lba.Count
 			l.written += rec.Lba.Count
 			st.ReplayedSectors += rec.Lba.Count

@@ -22,7 +22,7 @@ func journaledWrite(t *testing.T, l *LS, log *journal.Log, lba geom.Extent) bool
 		}
 		return false
 	}
-	l.Write(lba)
+	l.Write(nil, lba)
 	return true
 }
 
@@ -173,7 +173,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	live := NewLS(1 << 20)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {
-		live.Write(geom.Ext(rng.Int63n(1<<18), rng.Int63n(256)+1))
+		live.Write(nil, geom.Ext(rng.Int63n(1<<18), rng.Int63n(256)+1))
 	}
 	snap := live.Snapshot()
 	rec, st, err := Recover(&snap, journal.Data{Generation: snap.Generation + 1})

@@ -26,54 +26,21 @@ type Fragment struct {
 // PhysExtent returns the physical extent of the fragment.
 func (f Fragment) PhysExtent() geom.Extent { return geom.Ext(f.Pba, f.Lba.Count) }
 
-// Layer is a block translation layer.
+// Layer is a block translation layer. Both translation calls append
+// their fragments to dst — usually a caller's scratch slice passed with
+// length 0 and warm capacity, so the per-access hot path allocates
+// nothing — and return the extended slice; an empty extent appends
+// nothing.
 type Layer interface {
-	// Resolve maps a logical read extent to the physical fragments that
-	// hold its data, in ascending LBA order. len(result) is the read's
-	// dynamic fragmentation.
-	Resolve(lba geom.Extent) []Fragment
-	// Write maps a logical write extent to the physical extents that
-	// receive the data, in the order they are written.
-	Write(lba geom.Extent) []Fragment
+	// Resolve appends the physical fragments that hold a logical read
+	// extent's data, in ascending LBA order. The number appended is the
+	// read's dynamic fragmentation.
+	Resolve(dst []Fragment, lba geom.Extent) []Fragment
+	// Write appends the physical extents that receive a logical write,
+	// in the order they are written.
+	Write(dst []Fragment, lba geom.Extent) []Fragment
 	// Name identifies the layer in reports.
 	Name() string
-}
-
-// Previewer is implemented by layers that can report where a write
-// would land without mutating any state. Simulators use it to make
-// relocations (defrag write-backs) atomic under faults: the disk I/O is
-// attempted against the previewed placement first, and the mapping is
-// committed only if every attempt succeeds — an aborted relocation
-// leaves the extent map exactly as it was.
-type Previewer interface {
-	// PreviewWrite returns the fragments Write(lba) would produce, in
-	// write order, without performing the write. A subsequent Write of
-	// the same extent (with no intervening writes) must land exactly on
-	// the previewed placement.
-	PreviewWrite(lba geom.Extent) []Fragment
-}
-
-// The Append* capability interfaces are the zero-allocation forms of
-// Layer and Previewer: each appends its fragments to a caller-provided
-// buffer (usually a per-simulator scratch slice, passed with length 0
-// and warm capacity) instead of allocating a fresh slice per operation.
-// Results must be identical to the slice-returning method element for
-// element; an empty extent appends nothing. The simulator detects these
-// at construction and prefers them on the per-access hot path.
-
-// AppendResolver is the buffer-reusing form of Layer.Resolve.
-type AppendResolver interface {
-	ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment
-}
-
-// AppendWriter is the buffer-reusing form of Layer.Write.
-type AppendWriter interface {
-	WriteAppend(dst []Fragment, lba geom.Extent) []Fragment
-}
-
-// AppendPreviewer is the buffer-reusing form of Previewer.PreviewWrite.
-type AppendPreviewer interface {
-	PreviewWriteAppend(dst []Fragment, lba geom.Extent) []Fragment
 }
 
 // NoLS is the untranslated baseline: every LBA lives at PBA == LBA, and
@@ -84,36 +51,16 @@ type NoLS struct{}
 func NewNoLS() *NoLS { return &NoLS{} }
 
 // Resolve implements Layer.
-func (*NoLS) Resolve(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return []Fragment{{Lba: lba, Pba: lba.Start}}
-}
-
-// Write implements Layer.
-func (*NoLS) Write(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return []Fragment{{Lba: lba, Pba: lba.Start}}
-}
-
-// ResolveAppend implements AppendResolver.
-func (*NoLS) ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment {
+func (*NoLS) Resolve(dst []Fragment, lba geom.Extent) []Fragment {
 	if lba.Empty() {
 		return dst
 	}
 	return append(dst, Fragment{Lba: lba, Pba: lba.Start})
 }
 
-// WriteAppend implements AppendWriter.
-func (*NoLS) WriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return dst
-	}
-	return append(dst, Fragment{Lba: lba, Pba: lba.Start})
-}
+// Write implements Layer: writes update in place, so a write lands
+// exactly where a read of the same extent resolves.
+func (n *NoLS) Write(dst []Fragment, lba geom.Extent) []Fragment { return n.Resolve(dst, lba) }
 
 // Name implements Layer.
 func (*NoLS) Name() string { return "NoLS" }
@@ -136,18 +83,9 @@ func NewLS(frontierStart geom.Sector) *LS {
 	return &LS{m: extmap.NewCoalesced(), frontier: frontierStart}
 }
 
-// Resolve implements Layer.
-func (l *LS) Resolve(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return l.ResolveAppend(nil, lba)
-}
-
-// ResolveAppend implements AppendResolver: fragments stream straight
-// from the extent map's visitor into dst, so a warm buffer makes the
-// resolution allocation-free.
-func (l *LS) ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment {
+// Resolve implements Layer: fragments stream straight from the extent
+// map's visitor into dst.
+func (l *LS) Resolve(dst []Fragment, lba geom.Extent) []Fragment {
 	l.m.LookupFunc(lba, func(r extmap.Resolved) bool {
 		dst = append(dst, Fragment{Lba: r.Lba, Pba: r.Pba})
 		return true
@@ -156,16 +94,9 @@ func (l *LS) ResolveAppend(dst []Fragment, lba geom.Extent) []Fragment {
 }
 
 // Write implements Layer: the whole extent is appended at the frontier.
-func (l *LS) Write(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return l.WriteAppend(nil, lba)
-}
-
-// WriteAppend implements AppendWriter. Displaced mappings are dropped
-// without materializing (LS never reuses old log space).
-func (l *LS) WriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
+// Displaced mappings are dropped without materializing (LS never reuses
+// old log space).
+func (l *LS) Write(dst []Fragment, lba geom.Extent) []Fragment {
 	if lba.Empty() {
 		return dst
 	}
@@ -176,17 +107,14 @@ func (l *LS) WriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
 	return append(dst, Fragment{Lba: lba, Pba: pba})
 }
 
-// PreviewWrite implements Previewer: the whole extent would land at the
-// current frontier. No state changes.
-func (l *LS) PreviewWrite(lba geom.Extent) []Fragment {
-	if lba.Empty() {
-		return nil
-	}
-	return []Fragment{{Lba: lba, Pba: l.frontier}}
-}
-
-// PreviewWriteAppend implements AppendPreviewer.
-func (l *LS) PreviewWriteAppend(dst []Fragment, lba geom.Extent) []Fragment {
+// PreviewWrite appends the fragments Write(dst, lba) would produce —
+// the whole extent at the current frontier — without changing any
+// state. A subsequent Write of the same extent with no intervening
+// writes lands exactly on the previewed placement, which is what lets
+// the simulator make defrag relocations atomic under faults: the disk
+// I/O is attempted against the preview and the mapping committed only
+// if every attempt succeeds.
+func (l *LS) PreviewWrite(dst []Fragment, lba geom.Extent) []Fragment {
 	if lba.Empty() {
 		return dst
 	}
@@ -210,12 +138,6 @@ func (l *LS) Map() *extmap.Map { return l.m }
 func (l *LS) Fragments(lba geom.Extent) int { return l.m.Fragments(lba) }
 
 var (
-	_ Layer           = (*NoLS)(nil)
-	_ Layer           = (*LS)(nil)
-	_ Previewer       = (*LS)(nil)
-	_ AppendResolver  = (*NoLS)(nil)
-	_ AppendWriter    = (*NoLS)(nil)
-	_ AppendResolver  = (*LS)(nil)
-	_ AppendWriter    = (*LS)(nil)
-	_ AppendPreviewer = (*LS)(nil)
+	_ Layer = (*NoLS)(nil)
+	_ Layer = (*LS)(nil)
 )

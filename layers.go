@@ -10,9 +10,10 @@ import (
 )
 
 // Layer is a block translation layer; plug custom layers into
-// Config.CustomLayer. NewGCLayer and NewMediaCacheLayer construct the
-// two built-in alternatives to the paper's infinite log-structured
-// layer.
+// Config.CustomLayer. Its Resolve and Write append the fragments of one
+// logical operation to a caller's buffer. NewGCLayer and
+// NewMediaCacheLayer construct the two built-in alternatives to the
+// paper's infinite log-structured layer.
 type Layer = stl.Layer
 
 // GCPolicy selects the cleaning victim heuristic for NewGCLayer.

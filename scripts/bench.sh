@@ -24,7 +24,7 @@ if [ "${1:-}" = smoke ]; then
 	# (an accidentally-always-on probe, an O(n) slip, a lost scratch
 	# buffer re-allocating per op), not jitter. allocs/op is gated too:
 	# it is deterministic, so even a short run flags real growth.
-	go test -run='^$' -bench='^(BenchmarkSimulatorThroughput|BenchmarkInsert|BenchmarkInsertFunc|BenchmarkLookup|BenchmarkLookupFunc|BenchmarkFragments|BenchmarkVolumeActor|BenchmarkVolumeTCP|BenchmarkVerifyDir|BenchmarkRecoverDir|BenchmarkBandClean)$' \
+	go test -run='^$' -bench='^(BenchmarkSimulatorThroughput|BenchmarkInsertFunc|BenchmarkLookupFunc|BenchmarkFragments|BenchmarkVolumeActor|BenchmarkVolumeTCP|BenchmarkVerifyDir|BenchmarkRecoverDir|BenchmarkBandClean)$' \
 		-benchtime=0.3s -benchmem -timeout 10m . ./internal/extmap ./internal/volume ./internal/journal ./internal/stl ./internal/band |
 		go run ./scripts/benchjson >"$tmp"
 	go run ./scripts/benchjson -compare -gate 25 -gate-allocs 25 -match 'BenchmarkSimulator|internal/extmap|internal/volume|BenchmarkVerifyDir/seq|BenchmarkRecoverDir/seq|BenchmarkBandClean' "$out" "$tmp"
