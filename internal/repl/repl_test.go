@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"testing"
 	"time"
@@ -77,6 +78,34 @@ func TestGateAckRelease(t *testing.T) {
 	}
 	if n := p.Degraded(); n != 0 {
 		t.Fatalf("acked write counted as degraded (%d)", n)
+	}
+}
+
+// TestWaitTailHoldsAtRebirthHeader checks the tail long poll against
+// the mark a checkpoint rebirth leaves: the new generation sealed
+// through its bare header. A poller still on the old generation is
+// released at once (it needs the checkpoint), but one at the start of
+// the new generation has nothing to ship and must be held for the
+// whole window.
+func TestWaitTailHoldsAtRebirthHeader(t *testing.T) {
+	const wait = 150 * time.Millisecond
+	p, err := NewPrimary(PrimaryConfig{Root: t.TempDir(), TailWait: wait, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.OnSeal("v")(1, 500, 3)
+	p.OnSeal("v")(2, journal.HeaderLen, 3) // checkpoint rebirth: no seals yet
+
+	start := time.Now()
+	p.WaitTail(context.Background(), "v", 1, 500)
+	if held := time.Since(start); held >= wait/2 {
+		t.Fatalf("poll behind the rebirth held %v, want an immediate answer", held)
+	}
+	start = time.Now()
+	p.WaitTail(context.Background(), "v", 2, 0)
+	if held := time.Since(start); held < wait*3/4 {
+		t.Fatalf("poll at a seal-less generation returned after %v, want about %v", held, wait)
 	}
 }
 

@@ -317,14 +317,17 @@ func (p *Primary) WaitTail(ctx context.Context, vol string, gen uint64, off int6
 }
 
 // frontierBeyond reports whether the volume's sealed frontier is past
-// (gen, off). Callers hold mu.
+// (gen, off). A checkpoint rebirth marks its new generation at the bare
+// header: that mark is past every older generation, but within its own
+// generation it holds no seal and so nothing journal.ShipFrom would
+// ship. Callers hold mu.
 func frontierBeyond(s *src, gen uint64, off int64) bool {
 	n := len(s.marks)
 	if n == 0 {
 		return false
 	}
 	m := s.marks[n-1]
-	return m.gen > gen || (m.gen == gen && m.bytes > off)
+	return m.gen > gen || (m.gen == gen && m.bytes > off && m.bytes > journal.HeaderLen)
 }
 
 // Ack records a follower's verified position and releases every gated
