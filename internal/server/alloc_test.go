@@ -9,7 +9,7 @@ import (
 )
 
 // TestV2ServerSteadyStateAllocs pins the per-request allocation budget
-// of the whole server-side v2 path — connection reader, volume actor,
+// of the whole server-side path — connection reader, volume actor,
 // response writer — at steady state. The client half is a pre-encoded
 // raw frame batch and a reused read buffer, so it allocates nothing;
 // AllocsPerRun therefore sees (almost) only the server.
@@ -21,16 +21,16 @@ func TestV2ServerSteadyStateAllocs(t *testing.T) {
 	}
 	defer conn.Close()
 	const batch = 64
-	ver, window, err := clientHello(conn, Version2, batch)
+	window, err := clientHello(conn, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != Version2 || window != batch {
-		t.Fatalf("negotiated v%d window %d, want v2 window %d", ver, window, batch)
+	if window != batch {
+		t.Fatalf("negotiated window %d, want %d", window, batch)
 	}
 	var frames []byte
 	for i := 0; i < batch; i++ {
-		frames, err = appendRequestV2(frames, uint64(i+1), request{
+		frames, err = appendRequest(frames, uint64(i+1), Request{
 			Op: OpWrite, Volume: "a",
 			Extent: geom.Ext(geom.Sector((i*8)%(1<<18)), 8),
 		})
@@ -49,7 +49,7 @@ func TestV2ServerSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, status, _, err := parseResponseV2(frame); err != nil || status != StatusOK {
+			if _, status, _, err := parseResponse(frame); err != nil || status != StatusOK {
 				t.Fatalf("response %d: status %d, err %v", i, status, err)
 			}
 		}

@@ -9,25 +9,8 @@ import (
 	"time"
 
 	"smrseek/internal/disk"
-	"smrseek/internal/geom"
 	"smrseek/internal/trace"
 )
-
-// Request describes one operation for AsyncClient.Submit. Extent is
-// used by write/read, Seq by proof, Gen/Off by ship/tail/ack; the rest
-// ignore them — the same shape the wire request carries.
-type Request struct {
-	Op     uint8
-	Volume string
-	Extent geom.Extent
-	Seq    int64
-	Gen    uint64
-	Off    int64
-}
-
-func (r Request) wire() request {
-	return request{Op: r.Op, Volume: r.Volume, Extent: r.Extent, Seq: r.Seq, Gen: r.Gen, Off: r.Off}
-}
 
 // ErrClientClosed is returned by Submit on a closed AsyncClient.
 var ErrClientClosed = errors.New("smrd: client closed")
@@ -67,14 +50,10 @@ func (c *Call) Result() ([]byte, error) {
 // Submit; each Call comes back on the done channel its submitter chose
 // (the volume.TryDo idiom: the channel must be buffered with room for
 // every call outstanding on it).
-//
-// Negotiated against a v1 server the client degrades transparently:
-// no IDs on the wire, window forced to 1, strict request/response order.
 type AsyncClient struct {
-	addr    string
-	conn    net.Conn
-	version uint8
-	window  int
+	addr   string
+	conn   net.Conn
+	window int
 
 	// slots holds one token per window seat; Submit acquires before
 	// registering, completion releases. Capacity bounds the pipeline.
@@ -93,23 +72,20 @@ type AsyncClient struct {
 	readerDone chan struct{}
 }
 
-// DialAsync connects with the SMRD2 protocol, requesting the given
-// window (0 = server default). The granted window — possibly clamped by
-// the server — is available via Window.
+// DialAsync connects, requesting the given window (0 = server default).
+// The granted window — possibly clamped by the server — is available
+// via Window.
 func DialAsync(addr string, window int) (*AsyncClient, error) {
-	return DialAsyncContext(context.Background(), addr, Version2, window)
+	return DialAsyncContext(context.Background(), addr, window)
 }
 
-// DialAsyncContext is DialAsync with caller-controlled cancellation and
-// an explicit protocol version ceiling (Version forces the legacy
-// synchronous wire format; the window is then 1 regardless of the
-// request).
-func DialAsyncContext(ctx context.Context, addr string, version uint8, window int) (*AsyncClient, error) {
+// DialAsyncContext is DialAsync with caller-controlled cancellation.
+func DialAsyncContext(ctx context.Context, addr string, window int) (*AsyncClient, error) {
 	conn, err := dialRetry(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	ac, err := newAsyncClient(conn, addr, version, window)
+	ac, err := newAsyncClient(conn, addr, window)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -146,27 +122,23 @@ func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
 
 // newAsyncClient performs the hello on an established connection and
 // starts the response reader.
-func newAsyncClient(conn net.Conn, addr string, version uint8, window int) (*AsyncClient, error) {
-	negVersion, negWindow, err := clientHello(conn, version, window)
+func newAsyncClient(conn net.Conn, addr string, window int) (*AsyncClient, error) {
+	granted, err := clientHello(conn, window)
 	if err != nil {
 		return nil, err
 	}
 	ac := &AsyncClient{
 		addr:       addr,
 		conn:       conn,
-		version:    negVersion,
-		window:     negWindow,
-		slots:      make(chan struct{}, negWindow),
+		window:     granted,
+		slots:      make(chan struct{}, granted),
 		broken:     make(chan struct{}),
-		pending:    make(map[uint64]*Call, negWindow),
+		pending:    make(map[uint64]*Call, granted),
 		readerDone: make(chan struct{}),
 	}
 	go ac.reader()
 	return ac, nil
 }
-
-// Version returns the negotiated protocol version.
-func (ac *AsyncClient) Version() uint8 { return ac.version }
 
 // Window returns the granted in-flight window.
 func (ac *AsyncClient) Window() int { return ac.window }
@@ -182,15 +154,6 @@ func (ac *AsyncClient) Close() error {
 	return err
 }
 
-// Submit sends one request into the pipeline, blocking only while the
-// window is full. The Call is delivered on done when its response
-// arrives (or the connection fails). done must be buffered with
-// capacity for every call outstanding on it — the delivery never
-// blocks, matching the volume.TryDo contract.
-func (ac *AsyncClient) Submit(req Request, done chan *Call) (*Call, error) {
-	return ac.submit(req.wire(), done)
-}
-
 // Await blocks for the next completed Call on done — sugar for the
 // channel receive, so Submit/Await pairs read naturally.
 func (ac *AsyncClient) Await(done chan *Call) *Call { return <-done }
@@ -199,15 +162,20 @@ func (ac *AsyncClient) Await(done chan *Call) *Call { return <-done }
 func (ac *AsyncClient) SubmitStep(vol string, rec trace.Record, done chan *Call) (*Call, error) {
 	switch rec.Kind {
 	case disk.Write:
-		return ac.submit(request{Op: OpWrite, Volume: vol, Extent: rec.Extent}, done)
+		return ac.Submit(Request{Op: OpWrite, Volume: vol, Extent: rec.Extent}, done)
 	case disk.Read:
-		return ac.submit(request{Op: OpRead, Volume: vol, Extent: rec.Extent}, done)
+		return ac.Submit(Request{Op: OpRead, Volume: vol, Extent: rec.Extent}, done)
 	default:
 		return nil, fmt.Errorf("smrd: unsupported record kind %v", rec.Kind)
 	}
 }
 
-func (ac *AsyncClient) submit(req request, done chan *Call) (*Call, error) {
+// Submit sends one request into the pipeline, blocking only while the
+// window is full. The Call is delivered on done when its response
+// arrives (or the connection fails). done must be buffered with
+// capacity for every call outstanding on it — the delivery never
+// blocks, matching the volume.TryDo contract.
+func (ac *AsyncClient) Submit(req Request, done chan *Call) (*Call, error) {
 	if done == nil || cap(done) == 0 {
 		return nil, errors.New("smrd: Submit requires a buffered done channel")
 	}
@@ -233,11 +201,7 @@ func (ac *AsyncClient) submit(req request, done chan *Call) (*Call, error) {
 
 	ac.wmu.Lock()
 	var err error
-	if ac.version >= Version2 {
-		ac.out, err = appendRequestV2(ac.out[:0], call.ID, req)
-	} else {
-		ac.out, err = appendRequest(ac.out[:0], req)
-	}
+	ac.out, err = appendRequest(ac.out[:0], call.ID, req)
 	if err != nil {
 		// Encode failure (caller error, nothing hit the wire): unwind.
 		ac.wmu.Unlock()
@@ -268,34 +232,14 @@ func (ac *AsyncClient) reader() {
 			return
 		}
 		buf = frame
-		var (
-			id     uint64
-			status uint8
-			body   []byte
-		)
-		if ac.version >= Version2 {
-			id, status, body, err = parseResponseV2(frame)
-			if err != nil {
-				ac.fail(&connError{err})
-				return
-			}
-		} else {
-			status, body = frame[0], frame[1:]
+		id, status, body, err := parseResponse(frame)
+		if err != nil {
+			ac.fail(&connError{err})
+			return
 		}
 		ac.mu.Lock()
-		var call *Call
-		if ac.version >= Version2 {
-			call = ac.pending[id]
-			delete(ac.pending, id)
-		} else {
-			// v1 responses arrive strictly in request order and the window
-			// is 1: the sole pending call is the match.
-			for k, v := range ac.pending {
-				call = v
-				delete(ac.pending, k)
-				break
-			}
-		}
+		call := ac.pending[id]
+		delete(ac.pending, id)
 		ac.mu.Unlock()
 		if call == nil {
 			ac.fail(&connError{fmt.Errorf("smrd: response for unknown request id %d", id)})
@@ -344,13 +288,11 @@ func (ac *AsyncClient) stickyErr() error {
 
 // roundTrip submits one request and blocks for its response — the
 // synchronous convenience path over the pipeline.
-func (ac *AsyncClient) roundTrip(req request) ([]byte, error) {
+func (ac *AsyncClient) roundTrip(req Request) ([]byte, error) {
 	done := make(chan *Call, 1)
-	call, err := ac.submit(req, done)
-	if err != nil {
+	if _, err := ac.Submit(req, done); err != nil {
 		return nil, err
 	}
-	_ = call
 	return (<-done).Result()
 }
 

@@ -84,21 +84,19 @@ func (p ReconnectPolicy) backoff(attempt int) time.Duration {
 }
 
 // Client is one synchronous smrd protocol connection: a window=1 view
-// over the pipelined AsyncClient, preserving the strict
-// request/response alternation the v1 protocol had. Not safe for
-// concurrent use; open one client per goroutine (or use AsyncClient).
+// over the pipelined AsyncClient, so requests and responses strictly
+// alternate. Not safe for concurrent use; open one client per goroutine
+// (or use AsyncClient).
 type Client struct {
 	ac         *AsyncClient
 	addr       string
-	version    uint8 // protocol ceiling to negotiate (Version or Version2)
 	done       chan *Call
 	policy     ReconnectPolicy
 	reconnects int64
 }
 
-// Dial connects and negotiates the protocol (SMRD2 where the server
-// supports it, at window 1), retrying refused connections briefly (the
-// daemon may still be binding its listener).
+// Dial connects and negotiates a window of 1, retrying refused
+// connections briefly (the daemon may still be binding its listener).
 func Dial(addr string) (*Client, error) {
 	return DialContext(context.Background(), addr)
 }
@@ -108,23 +106,15 @@ func Dial(addr string) (*Client, error) {
 // does. Replica sets use it to bound how long probing a dead node may
 // take.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
-	return DialVersion(ctx, addr, Version2)
-}
-
-// DialVersion is DialContext with an explicit protocol ceiling:
-// version Version forces the legacy v1 wire format even against an
-// SMRD2 server (the conformance tests pin v1 interop this way).
-func DialVersion(ctx context.Context, addr string, version uint8) (*Client, error) {
-	ac, err := DialAsyncContext(ctx, addr, version, 1)
+	ac, err := DialAsyncContext(ctx, addr, 1)
 	if err != nil {
 		return nil, err
 	}
 	return &Client{
-		ac:      ac,
-		addr:    addr,
-		version: version,
-		done:    make(chan *Call, 1),
-		policy:  DefaultReconnect,
+		ac:     ac,
+		addr:   addr,
+		done:   make(chan *Call, 1),
+		policy: DefaultReconnect,
 	}, nil
 }
 
@@ -136,9 +126,6 @@ func (c *Client) SetReconnect(p ReconnectPolicy) { c.policy = p }
 // connection inside Step/Replay.
 func (c *Client) Reconnects() int64 { return c.reconnects }
 
-// Version returns the negotiated protocol version.
-func (c *Client) Version() uint8 { return c.ac.Version() }
-
 // Close closes the connection.
 func (c *Client) Close() error { return c.ac.Close() }
 
@@ -149,7 +136,7 @@ func (c *Client) reconnect() error {
 	if err != nil {
 		return &connError{fmt.Errorf("smrd: redial %s: %w", c.addr, err)}
 	}
-	ac, err := newAsyncClient(conn, c.addr, c.version, 1)
+	ac, err := newAsyncClient(conn, c.addr, 1)
 	if err != nil {
 		conn.Close()
 		return &connError{err}
@@ -165,8 +152,8 @@ func (c *Client) reconnect() error {
 // roundTrip sends one request and blocks for its response status + body.
 // Transport failures come back as *connError; server rejections as
 // *StatusError.
-func (c *Client) roundTrip(req request) ([]byte, error) {
-	if _, err := c.ac.submit(req, c.done); err != nil {
+func (c *Client) roundTrip(req Request) ([]byte, error) {
+	if _, err := c.ac.Submit(req, c.done); err != nil {
 		return nil, err
 	}
 	return (<-c.done).Result()
@@ -174,14 +161,14 @@ func (c *Client) roundTrip(req request) ([]byte, error) {
 
 // Write issues a logical write of ext on the named volume.
 func (c *Client) Write(vol string, ext geom.Extent) error {
-	_, err := c.roundTrip(request{Op: OpWrite, Volume: vol, Extent: ext})
+	_, err := c.roundTrip(Request{Op: OpWrite, Volume: vol, Extent: ext})
 	return err
 }
 
 // Read issues a logical read of ext and returns the number of physical
 // fragments it resolved to — the paper's read-seek cost signal.
 func (c *Client) Read(vol string, ext geom.Extent) (int, error) {
-	body, err := c.roundTrip(request{Op: OpRead, Volume: vol, Extent: ext})
+	body, err := c.roundTrip(Request{Op: OpRead, Volume: vol, Extent: ext})
 	if err != nil {
 		return 0, err
 	}
@@ -194,7 +181,7 @@ func (c *Client) Read(vol string, ext geom.Extent) (int, error) {
 // Stat returns the volume's live statistics. Stats.Config is zeroed by
 // the server (layer pointers do not cross the wire).
 func (c *Client) Stat(vol string) (core.Stats, error) {
-	body, err := c.roundTrip(request{Op: OpStat, Volume: vol})
+	body, err := c.roundTrip(Request{Op: OpStat, Volume: vol})
 	if err != nil {
 		return core.Stats{}, err
 	}
@@ -207,7 +194,7 @@ func (c *Client) Stat(vol string) (core.Stats, error) {
 
 // Snapshot forces a journal checkpoint on the volume.
 func (c *Client) Snapshot(vol string) error {
-	_, err := c.roundTrip(request{Op: OpSnapshot, Volume: vol})
+	_, err := c.roundTrip(Request{Op: OpSnapshot, Volume: vol})
 	return err
 }
 
@@ -216,7 +203,7 @@ func (c *Client) Snapshot(vol string) error {
 // checkpoint linkage — and returns the audit. Corruption comes back as
 // a StatusCorrupt StatusError.
 func (c *Client) Verify(vol string) (journal.Audit, error) {
-	body, err := c.roundTrip(request{Op: OpVerify, Volume: vol})
+	body, err := c.roundTrip(Request{Op: OpVerify, Volume: vol})
 	if err != nil {
 		return journal.Audit{}, err
 	}
@@ -232,7 +219,7 @@ func (c *Client) Verify(vol string) (journal.Audit, error) {
 // audit path locally before returning it — so a proof the server
 // mis-built never reaches the caller marked good.
 func (c *Client) Prove(vol string, seq int64) (journal.Proof, error) {
-	body, err := c.roundTrip(request{Op: OpProof, Volume: vol, Seq: seq})
+	body, err := c.roundTrip(Request{Op: OpProof, Volume: vol, Seq: seq})
 	if err != nil {
 		return journal.Proof{}, err
 	}
@@ -281,7 +268,7 @@ func (c *Client) step(vol string, rec trace.Record) (int, error) {
 // journal past (gen, off). It returns the responding node's fencing
 // epoch alongside the chunk.
 func (c *Client) Ship(vol string, gen uint64, off int64) (uint64, journal.ShipChunk, error) {
-	body, err := c.roundTrip(request{Op: OpShip, Volume: vol, Gen: gen, Off: off})
+	body, err := c.roundTrip(Request{Op: OpShip, Volume: vol, Gen: gen, Off: off})
 	if err != nil {
 		return 0, journal.ShipChunk{}, err
 	}
@@ -292,7 +279,7 @@ func (c *Client) Ship(vol string, gen uint64, off int64) (uint64, journal.ShipCh
 // until sealed bytes exist past (gen, off) — force-sealing a lagging
 // tail — or its bounded wait expires (returning a ShipNone chunk).
 func (c *Client) Tail(vol string, gen uint64, off int64) (uint64, journal.ShipChunk, error) {
-	body, err := c.roundTrip(request{Op: OpTail, Volume: vol, Gen: gen, Off: off})
+	body, err := c.roundTrip(Request{Op: OpTail, Volume: vol, Gen: gen, Off: off})
 	if err != nil {
 		return 0, journal.ShipChunk{}, err
 	}
@@ -302,14 +289,14 @@ func (c *Client) Tail(vol string, gen uint64, off int64) (uint64, journal.ShipCh
 // Ack reports this follower's verified, applied journal position for the
 // volume, so the primary can release gated writes and track lag.
 func (c *Client) Ack(vol string, gen uint64, off int64) error {
-	_, err := c.roundTrip(request{Op: OpAck, Volume: vol, Gen: gen, Off: off})
+	_, err := c.roundTrip(Request{Op: OpAck, Volume: vol, Gen: gen, Off: off})
 	return err
 }
 
 // Role returns the node's replication role, fencing epoch and
 // per-volume journal positions.
 func (c *Client) Role() (RoleInfo, error) {
-	body, err := c.roundTrip(request{Op: OpRole})
+	body, err := c.roundTrip(Request{Op: OpRole})
 	if err != nil {
 		return RoleInfo{}, err
 	}
@@ -324,7 +311,7 @@ func (c *Client) Role() (RoleInfo, error) {
 // recovery of every replicated journal, epoch bump, serving enabled —
 // and returns its post-promotion role.
 func (c *Client) Promote() (RoleInfo, error) {
-	body, err := c.roundTrip(request{Op: OpPromote})
+	body, err := c.roundTrip(Request{Op: OpPromote})
 	if err != nil {
 		return RoleInfo{}, err
 	}

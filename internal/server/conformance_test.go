@@ -1,17 +1,15 @@
 package server
 
-// Protocol conformance: the SMRD2 rewrite must be invisible at the
-// payload level. Every op, driven through a v1 client, a v2 client at
-// window 1, and a v2 client at window 64 against the same server build,
-// must produce byte-identical response bodies — and the volume behind
-// the wire must end bit-identical to a direct in-process run of the
-// same script. The journal directory is recreated at the SAME path for
+// Protocol conformance: pipelining must be invisible at the payload
+// level. Every op, driven through a client at window 1 and a client at
+// window 64 against the same server build, must produce byte-identical
+// response bodies — and the volume behind the wire must end
+// bit-identical to a direct in-process run of the same script. The journal directory is recreated at the SAME path for
 // every variant so path-bearing bodies (the verify audit) compare
 // byte-for-byte too.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -32,19 +30,19 @@ import (
 // the checkpointed directory.
 var confOps = []struct {
 	name string
-	req  request
+	req  Request
 }{
-	{"write", request{Op: OpWrite, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
-	{"read", request{Op: OpRead, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
-	{"stat", request{Op: OpStat, Volume: "cv"}},
-	{"proof", request{Op: OpProof, Volume: "cv", Seq: 1}},
-	{"ship", request{Op: OpShip, Volume: "cv", Gen: 0, Off: 0}},
-	{"tail", request{Op: OpTail, Volume: "cv", Gen: 0, Off: 0}},
-	{"ack", request{Op: OpAck, Volume: "cv", Gen: 1, Off: 0}},
-	{"role", request{Op: OpRole}},
-	{"promote", request{Op: OpPromote}},
-	{"snapshot", request{Op: OpSnapshot, Volume: "cv"}},
-	{"verify", request{Op: OpVerify, Volume: "cv"}},
+	{"write", Request{Op: OpWrite, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
+	{"read", Request{Op: OpRead, Volume: "cv", Extent: geom.Ext(1<<19, 16)}},
+	{"stat", Request{Op: OpStat, Volume: "cv"}},
+	{"proof", Request{Op: OpProof, Volume: "cv", Seq: 1}},
+	{"ship", Request{Op: OpShip, Volume: "cv", Gen: 0, Off: 0}},
+	{"tail", Request{Op: OpTail, Volume: "cv", Gen: 0, Off: 0}},
+	{"ack", Request{Op: OpAck, Volume: "cv", Gen: 1, Off: 0}},
+	{"role", Request{Op: OpRole}},
+	{"promote", Request{Op: OpPromote}},
+	{"snapshot", Request{Op: OpSnapshot, Volume: "cv"}},
+	{"verify", Request{Op: OpVerify, Volume: "cv"}},
 }
 
 func confVolume(dir string, frontier geom.Sector) volume.Config {
@@ -74,22 +72,19 @@ func confTrace(t *testing.T) []trace.Record {
 
 // runConfVariant executes the script through one protocol variant and
 // captures every response body plus the final wire Stats.
-func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom.Sector, version uint8, window int) (map[string][]byte, core.Stats) {
+func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom.Sector, window int) (map[string][]byte, core.Stats) {
 	t.Helper()
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
 	_, _, addr := newTestServer(t, Options{}, confVolume(dir, frontier))
 
-	ac, err := DialAsyncContext(context.Background(), addr, version, window)
+	ac, err := DialAsync(addr, window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ac.Close()
-	if ac.Version() != version {
-		t.Fatalf("negotiated version %d, want %d", ac.Version(), version)
-	}
-	if version >= Version2 && ac.Window() != window {
+	if ac.Window() != window {
 		t.Fatalf("negotiated window %d, want %d", ac.Window(), window)
 	}
 
@@ -97,7 +92,7 @@ func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom
 	// after it are strictly sequential.
 	n, err := ac.Replay("cv", trace.NewSliceReader(recs))
 	if err != nil {
-		t.Fatalf("pipelined replay (v%d w%d): %v", version, window, err)
+		t.Fatalf("pipelined replay (w%d): %v", window, err)
 	}
 	if n != int64(len(recs)) {
 		t.Fatalf("replayed %d of %d records", n, len(recs))
@@ -107,7 +102,7 @@ func runConfVariant(t *testing.T, dir string, recs []trace.Record, frontier geom
 	for _, op := range confOps {
 		body, err := ac.roundTrip(op.req)
 		if err != nil {
-			t.Fatalf("%s (v%d w%d): %v", op.name, version, window, err)
+			t.Fatalf("%s (w%d): %v", op.name, window, err)
 		}
 		bodies[op.name] = append([]byte(nil), body...)
 	}
@@ -166,17 +161,15 @@ func TestProtocolConformance(t *testing.T) {
 	want := runConfDirect(t, dir, recs, frontier)
 
 	variants := []struct {
-		name    string
-		version uint8
-		window  int
+		name   string
+		window int
 	}{
-		{"v1", Version, 1},
-		{"v2-w1", Version2, 1},
-		{"v2-w64", Version2, 64},
+		{"v2-w1", 1},
+		{"v2-w64", 64},
 	}
 	bodies := make(map[string]map[string][]byte, len(variants))
 	for _, vr := range variants {
-		b, st := runConfVariant(t, dir, recs, frontier, vr.version, vr.window)
+		b, st := runConfVariant(t, dir, recs, frontier, vr.window)
 		bodies[vr.name] = b
 		if !reflect.DeepEqual(st, want) {
 			t.Errorf("%s: wire stats diverged from direct run:\n got %+v\nwant %+v", vr.name, st, want)

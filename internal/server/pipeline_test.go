@@ -1,13 +1,12 @@
 package server
 
-// Concurrency, leak and allocation coverage for the SMRD2 pipeline:
+// Concurrency, leak and allocation coverage for the request pipeline:
 // out-of-order completion under load (run with -race), shutdown with
 // requests in flight (exactly one outcome per Submit), the
 // Abandoned-drain regression for timed-out pipelined requests, frame
 // pool get/put balance, and the zero-alloc codec hot path.
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -184,7 +183,7 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 	// serves fresh requests.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		_, err := ac.roundTrip(request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
+		_, err := ac.roundTrip(Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
 		if err == nil {
 			break
 		}
@@ -198,7 +197,7 @@ func TestPipelinedTimeoutAbandonedDrain(t *testing.T) {
 	}
 }
 
-// TestMalformedFramesAndPoolBalance sends broken v2 frames at a live
+// TestMalformedFramesAndPoolBalance sends broken frames at a live
 // server: a frame with an ID but a bad op must come back
 // StatusBadRequest with the connection intact; a frame too short to
 // carry an ID must close the connection. Across the whole episode the
@@ -213,12 +212,12 @@ func TestMalformedFramesAndPoolBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	version, window, err := clientHello(conn, Version2, 4)
+	window, err := clientHello(conn, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != Version2 || window != 4 {
-		t.Fatalf("negotiated v%d w%d, want v2 w4", version, window)
+	if window != 4 {
+		t.Fatalf("negotiated window %d, want 4", window)
 	}
 
 	// Bad op under a valid ID: clean error response, connection lives.
@@ -232,13 +231,13 @@ func TestMalformedFramesAndPoolBalance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no response to bad op: %v", err)
 	}
-	id, status, _, err := parseResponseV2(resp)
+	id, status, _, err := parseResponse(resp)
 	if err != nil || id != 77 || status != StatusBadRequest {
 		t.Fatalf("bad-op response id=%d status=%d err=%v, want id=77 bad-request", id, status, err)
 	}
 
 	// A valid request still works on the same connection.
-	req, err := appendRequestV2(nil, 78, request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
+	req, err := appendRequest(nil, 78, Request{Op: OpWrite, Volume: "v0", Extent: geom.Ext(0, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,7 @@ func TestMalformedFramesAndPoolBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, status, _, _ := parseResponseV2(resp); id != 78 || status != StatusOK {
+	if id, status, _, _ := parseResponse(resp); id != 78 || status != StatusOK {
 		t.Fatalf("post-error write id=%d status=%d, want id=78 ok", id, status)
 	}
 
@@ -277,30 +276,30 @@ func TestMalformedFramesAndPoolBalance(t *testing.T) {
 // request; the codec itself is zero).
 func TestV2CodecAllocs(t *testing.T) {
 	names := make(nameCache)
-	frame, err := appendRequestV2(nil, 1, request{Op: OpWrite, Volume: "vol0", Extent: geom.Ext(4096, 64)})
+	frame, err := appendRequest(nil, 1, Request{Op: OpWrite, Volume: "vol0", Extent: geom.Ext(4096, 64)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	payload := frame[4:]
 	out := make([]byte, 0, 4096)
-	if _, _, err := parseRequestV2(payload, names); err != nil {
+	if _, _, err := parseRequest(payload, names); err != nil {
 		t.Fatal(err) // prime the name cache
 	}
 	var id uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		var req request
-		id, req, err = parseRequestV2(payload, names)
+		var req Request
+		id, req, err = parseRequest(payload, names)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = req
-		out = appendResponseV2(out[:0], id, StatusOK, nil)
+		out = appendResponse(out[:0], id, StatusOK, nil)
 		var body [4]byte
 		binary.LittleEndian.PutUint32(body[:], 3)
-		out = appendResponseV2(out, id, StatusOK, body[:])
+		out = appendResponse(out, id, StatusOK, body[:])
 	})
 	if allocs > 0 {
-		t.Errorf("v2 codec hot path allocates %.1f per request, want 0", allocs)
+		t.Errorf("codec hot path allocates %.1f per request, want 0", allocs)
 	}
 }
 
@@ -325,10 +324,11 @@ func TestAsyncSubmitAfterClose(t *testing.T) {
 	}
 }
 
-// TestV2SingleConnReplayDeterminism: a pipelined replay on one v2
+// TestV2SingleConnReplayDeterminism: a pipelined replay on one
 // connection dispatches in send order, so its volume stats must be
-// bit-identical to the synchronous client's replay of the same trace —
-// the determinism contract the conformance matrix relies on.
+// bit-identical to the synchronous (window 1) client's replay of the
+// same trace — the determinism contract the conformance matrix relies
+// on.
 func TestV2SingleConnReplayDeterminism(t *testing.T) {
 	recs := confTrace(t)
 	run := func(pipelined bool) volume.Result {
@@ -343,7 +343,7 @@ func TestV2SingleConnReplayDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			c, err := DialVersion(context.Background(), addr, Version)
+			c, err := Dial(addr)
 			if err != nil {
 				t.Fatal(err)
 			}

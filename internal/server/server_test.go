@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -51,7 +50,7 @@ func lsConfig(name string) volume.Config {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	cases := []request{
+	cases := []Request{
 		{Op: OpWrite, Volume: "v0", Extent: geom.Ext(12345, 64)},
 		{Op: OpRead, Volume: "a-much-longer-volume-name", Extent: geom.Ext(0, 1)},
 		{Op: OpStat, Volume: "v"},
@@ -64,8 +63,9 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: OpRole, Volume: "v"},
 		{Op: OpPromote, Volume: "v"},
 	}
-	for _, want := range cases {
-		frame, err := appendRequest(nil, want)
+	for i, want := range cases {
+		wantID := uint64(i+1) << 40
+		frame, err := appendRequest(nil, wantID, want)
 		if err != nil {
 			t.Fatalf("append %+v: %v", want, err)
 		}
@@ -74,12 +74,12 @@ func TestWireRoundTrip(t *testing.T) {
 		if int(n) != len(frame)-4 {
 			t.Fatalf("length prefix %d, frame body %d", n, len(frame)-4)
 		}
-		got, err := parseRequest(frame[4:])
+		id, got, err := parseRequest(frame[4:], nil)
 		if err != nil {
 			t.Fatalf("parse %+v: %v", want, err)
 		}
-		if got != want {
-			t.Errorf("round trip: got %+v want %+v", got, want)
+		if id != wantID || got != want {
+			t.Errorf("round trip: got id %d %+v want id %d %+v", id, got, wantID, want)
 		}
 	}
 }
@@ -101,12 +101,25 @@ func TestWireRejectsMalformed(t *testing.T) {
 		{OpPromote, 1, 'a', 0}, // trailing bytes on promote
 		{99, 0},                // unknown op
 	}
-	for _, p := range bad {
-		if _, err := parseRequest(p); err == nil {
+	// Every payload opens with the request ID; the ID must come back
+	// with the error so the server can answer it.
+	id := binary.LittleEndian.AppendUint64(nil, 42)
+	for _, body := range bad {
+		p := append(append([]byte(nil), id...), body...)
+		gotID, _, err := parseRequest(p, nil)
+		if err == nil {
 			t.Errorf("parseRequest(%v) accepted malformed frame", p)
 		}
+		if gotID != 42 {
+			t.Errorf("parseRequest(%v) returned id %d, want 42", p, gotID)
+		}
 	}
-	if _, err := appendRequest(nil, request{Op: OpStat, Volume: strings.Repeat("x", 300)}); err == nil {
+	for _, short := range [][]byte{{}, {1, 2, 3}} { // no room for an ID
+		if _, _, err := parseRequest(short, nil); err == nil {
+			t.Errorf("parseRequest(%v) accepted a frame without an ID", short)
+		}
+	}
+	if _, err := appendRequest(nil, 1, Request{Op: OpStat, Volume: strings.Repeat("x", 300)}); err == nil {
 		t.Error("appendRequest accepted an over-long volume name")
 	}
 }
@@ -202,7 +215,7 @@ func TestServerUnknownVolumeAndNoJournal(t *testing.T) {
 	}
 }
 
-// rawDial opens a handshaken connection for hand-crafted frames.
+// rawDial opens a connection past the hello for hand-crafted frames.
 func rawDial(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -210,7 +223,7 @@ func rawDial(t *testing.T, addr string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := handshake(conn); err != nil {
+	if _, err := clientHello(conn, 4); err != nil {
 		t.Fatal(err)
 	}
 	return conn
@@ -221,15 +234,18 @@ func TestServerRejectsBadFrames(t *testing.T) {
 
 	// Malformed request payload: error response, connection stays up.
 	conn := rawDial(t, addr)
-	if _, err := conn.Write(appendResponse(nil, 99, nil)); err != nil { // op 99, no vlen
+	bad := binary.LittleEndian.AppendUint32(nil, idSize+1)
+	bad = binary.LittleEndian.AppendUint64(bad, 5)
+	bad = append(bad, 99) // op 99, no vlen
+	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}
 	frame, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatalf("readFrame after bad op: %v", err)
 	}
-	if frame[0] != StatusBadRequest {
-		t.Errorf("bad op status = %s, want bad-request", StatusName(frame[0]))
+	if id, status, _, err := parseResponse(frame); err != nil || id != 5 || status != StatusBadRequest {
+		t.Errorf("bad op response id=%d status=%s err=%v, want id=5 bad-request", id, StatusName(status), err)
 	}
 
 	// Oversize frame: the server drops the connection without reading it.
@@ -244,19 +260,49 @@ func TestServerRejectsBadFrames(t *testing.T) {
 		t.Fatalf("expected clean close after oversize frame, got %v", err)
 	}
 
-	// Bad handshake magic: dropped before any frame.
+	// Bad hello magic: dropped before any frame.
 	conn3, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn3.Close()
-	if _, err := conn3.Write([]byte("NOPE\x01")); err != nil {
+	if _, err := conn3.Write([]byte("NOPE\x02\x04\x00")); err != nil {
 		t.Fatal(err)
 	}
 	conn3.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf, _ := io.ReadAll(conn3)
-	if len(buf) > len(Magic)+1 {
-		t.Errorf("server kept talking (%d bytes) after bad magic", len(buf))
+	if len(buf) != 0 {
+		t.Errorf("server answered a bad magic with %q, want a silent close", buf)
+	}
+}
+
+// TestServerRefusesVersion1 plays a client of the retired synchronous
+// version 1: it sends its hello and then a well-formed version-1 stat
+// frame. The server must answer the hello with its own version, serve no
+// frame and close the connection.
+func TestServerRefusesVersion1(t *testing.T) {
+	_, _, addr := newTestServer(t, Options{}, lsConfig("v0"))
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte("SMRD\x01")); err != nil {
+		t.Fatal(err)
+	}
+	reply := make([]byte, len(Magic)+1)
+	if _, err := io.ReadFull(conn, reply); err != nil {
+		t.Fatalf("no reply to a version-1 hello: %v", err)
+	}
+	if string(reply) != "SMRD\x02" {
+		t.Errorf("reply to a version-1 hello = %q, want %q", reply, "SMRD\x02")
+	}
+	// The stat frame may or may not reach the closed socket; either way
+	// nothing more may come back.
+	conn.Write([]byte{4, 0, 0, 0, OpStat, 2, 'v', '0'}) // len | op | vlen | name
+	if rest, err := io.ReadAll(conn); len(rest) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("after refusing version 1 the server sent %q (err %v), want a closed connection", rest, err)
 	}
 }
 
@@ -311,33 +357,7 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
-func TestServerRequestTimeout(t *testing.T) {
-	_, mgr, addr := newTestServer(t, Options{RequestTimeout: 30 * time.Millisecond}, lsConfig("v0"))
-	v, _ := mgr.Get("v0")
-	release := stallVolume(t, v)
-	defer release()
-
-	// A v1 connection: synchronous ordering is the protocol, so a
-	// timeout must close the connection.
-	c, err := DialVersion(context.Background(), addr, Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	err = c.Write("v0", geom.Ext(0, 8))
-	var se *StatusError
-	if !errors.As(err, &se) || se.Status != StatusTimeout {
-		t.Fatalf("stalled write: err = %v, want StatusTimeout", err)
-	}
-	// The server closed the connection after the timeout: ordering on
-	// this connection is no longer guaranteed.
-	release()
-	if err := c.Write("v0", geom.Ext(0, 8)); err == nil {
-		t.Error("v1 connection survived a timeout, want closed")
-	}
-}
-
-// TestServerRequestTimeoutV2 pins the SMRD2 timeout contract: the
+// TestServerRequestTimeoutV2 pins the timeout contract: the
 // connection survives — responses are matched by ID, so a late result
 // is discarded without corrupting anything — and the window seat is
 // freed once the stalled request finally executes.
@@ -351,9 +371,6 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got, want := c.Version(), uint8(Version2); got != want {
-		t.Fatalf("negotiated version %d, want %d", got, want)
-	}
 	err = c.Write("v0", geom.Ext(0, 8))
 	var se *StatusError
 	if !errors.As(err, &se) || se.Status != StatusTimeout {
@@ -362,7 +379,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 	release()
 	// The same connection keeps working once the abandoned request has
 	// drained and released its window seat. Until then a window=1
-	// connection sheds — retryable, unlike v1's hard close.
+	// connection sheds, which is retryable.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		err := c.Write("v0", geom.Ext(0, 8))
@@ -370,7 +387,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 			break
 		}
 		if !IsOverloaded(err) {
-			t.Fatalf("write after v2 timeout: %v, want success or overloaded", err)
+			t.Fatalf("write after timeout: %v, want success or overloaded", err)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("window seat never freed after timeout: %v", err)
@@ -378,7 +395,7 @@ func TestServerRequestTimeoutV2(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := srv.Abandoned(); n != 1 {
-		t.Errorf("Abandoned = %d after a v2 timeout drained, want 1", n)
+		t.Errorf("Abandoned = %d after a timeout drained, want 1", n)
 	}
 }
 
@@ -518,6 +535,58 @@ func TestServerVerifyAndProof(t *testing.T) {
 	}
 	if _, err := c.Stat("v0"); err != nil {
 		t.Errorf("Stat after corrupt response: %v", err)
+	}
+}
+
+// TestOversizeResponseFailsOneRequest ships a checkpoint larger than
+// MaxFrame: the server must answer that request alone with an error
+// naming the size and the cap, and the connection must keep serving.
+func TestOversizeResponseFailsOneRequest(t *testing.T) {
+	cfg := lsConfig("v0")
+	cfg.JournalDir = t.TempDir()
+	_, mgr, addr := newTestServer(t, Options{}, cfg)
+	v, _ := mgr.Get("v0")
+	// Single-sector writes to alternate LBAs leave one extent-map entry
+	// each, so the checkpoint grows past the frame cap.
+	done := make(chan volume.Result, 1)
+	for i := int64(0); i < 45000; i++ {
+		if err := v.TryDo(volume.Request{Kind: volume.OpWrite, Extent: geom.Ext(geom.Sector(2*i), 1)}, done); err != nil {
+			t.Fatal(err)
+		}
+		if res := <-done; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	audit, err := c.Verify("v0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Snapshot("v0"); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(journal.CheckpointPath(cfg.JournalDir)); err != nil || fi.Size() <= MaxFrame {
+		t.Fatalf("checkpoint stat %v, %v: want a file over %d bytes", fi, err, MaxFrame)
+	}
+
+	_, _, err = c.Ship("v0", audit.Generation, 0)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != StatusInternal {
+		t.Fatalf("Ship of an over-cap checkpoint: %v, want a StatusInternal error", err)
+	}
+	if !strings.Contains(se.Msg, "exceeds the 1048576-byte frame cap") {
+		t.Errorf("oversize message %q does not name the cap", se.Msg)
+	}
+	if st, err := c.Stat("v0"); err != nil || st.Writes != 45000 {
+		t.Fatalf("Stat on the same connection after the oversize response: writes %d, %v", st.Writes, err)
+	}
+	if c.Reconnects() != 0 {
+		t.Errorf("client reconnected %d times, want 0", c.Reconnects())
 	}
 }
 

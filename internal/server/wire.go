@@ -3,16 +3,14 @@
 // and provides the matching client library used by cmd/smrload and the
 // end-to-end tests. The record layout is documented in docs/FORMATS.md.
 //
-// Two protocol versions share the framing. SMRD v1 is synchronous: one
-// request frame, one response frame, in order — per-volume ordering is
-// exactly the per-connection send order. SMRD2 multiplexes: every frame
-// carries a uint64 request ID, a client may keep up to a negotiated
-// window of requests in flight per connection, and responses complete
-// out of order (matched by ID). Requests from one connection are still
-// dispatched to the volume actor in send order, so a single v2
-// connection replaying a trace remains bit-deterministic; only the
-// responses are reordered. Version and window are negotiated in the
-// hello, and a v2 server accepts v1 clients unchanged.
+// The protocol (SMRD2) multiplexes: every frame carries a uint64 request
+// ID, a client may keep up to a negotiated window of requests in flight
+// per connection, and responses complete out of order (matched by ID).
+// Requests from one connection are dispatched to the volume actor in
+// send order, so a single connection replaying a trace is
+// bit-deterministic whatever its window; only the responses are
+// reordered. The window is negotiated in the hello; a client speaking
+// the retired synchronous version 1 is refused there.
 package server
 
 import (
@@ -30,10 +28,7 @@ import (
 const (
 	// Magic + version exchanged once per connection, client first.
 	Magic   = "SMRD"
-	Version = 1
-	// Version2 is the multiplexed SMRD2 protocol: id-stamped frames,
-	// windowed pipelining, out-of-order completion.
-	Version2 = 2
+	Version = 2
 
 	// MaxFrame bounds a frame's post-length payload; stat responses
 	// (JSON statistics) are the largest legitimate frames.
@@ -43,7 +38,7 @@ const (
 	MaxVolumeName = 255
 
 	// DefaultWindow is the per-connection in-flight window granted to a
-	// v2 client that requests 0 ("server default").
+	// client that requests 0 ("server default").
 	DefaultWindow = 32
 	// DefaultMaxWindow caps the window a server grants unless
 	// Options.MaxWindow overrides it.
@@ -121,8 +116,10 @@ func StatusName(s uint8) string {
 	return fmt.Sprintf("status(%d)", s)
 }
 
-// request is one decoded request frame.
-type request struct {
+// Request is one request: the argument of AsyncClient.Submit and the
+// decoded form of a request frame. Extent is used by write/read, Seq by
+// proof, Gen/Off by ship/tail/ack; the other ops ignore them.
+type Request struct {
 	Op     uint8
 	Volume string
 	Extent geom.Extent // write/read only
@@ -131,31 +128,23 @@ type request struct {
 	Off    int64       // ship/tail/ack only: requester's journal byte offset
 }
 
-// appendRequest encodes the request into dst's frame format:
+// idSize is the width of the request ID that opens every frame payload.
+const idSize = 8
+
+// appendRequest encodes a request frame:
 //
-//	len uint32 LE | op uint8 | vlen uint8 | name | body
+//	len uint32 LE | id uint64 LE | op uint8 | vlen uint8 | name | body
 //
 // where body is `lba uint64 LE, count uint64 LE` for write/read,
 // `seq uint64 LE` for proof, `gen uint64 LE, off uint64 LE` for
 // ship/tail/ack, and empty otherwise.
-func appendRequest(dst []byte, req request) ([]byte, error) {
-	body := 2 + len(req.Volume)
-	switch req.Op {
-	case OpWrite, OpRead, OpShip, OpTail, OpAck:
-		body += 16
-	case OpProof:
-		body += 8
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(body))
-	return appendRequestPayload(dst, req)
-}
-
-// appendRequestPayload encodes the request payload without a length
-// prefix (the v2 encoder stamps the ID between prefix and payload).
-func appendRequestPayload(dst []byte, req request) ([]byte, error) {
+func appendRequest(dst []byte, id uint64, req Request) ([]byte, error) {
 	if len(req.Volume) > MaxVolumeName {
 		return dst, fmt.Errorf("server: volume name %d bytes long (max %d)", len(req.Volume), MaxVolumeName)
 	}
+	lenAt := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // patched below
+	dst = binary.LittleEndian.AppendUint64(dst, id)
 	dst = append(dst, req.Op, uint8(len(req.Volume)))
 	dst = append(dst, req.Volume...)
 	switch req.Op {
@@ -168,10 +157,11 @@ func appendRequestPayload(dst []byte, req request) ([]byte, error) {
 		dst = binary.LittleEndian.AppendUint64(dst, req.Gen)
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Off))
 	}
+	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst, nil
 }
 
-// nameCache interns volume-name strings so the v2 reader's steady state
+// nameCache interns volume-name strings so the reader's steady state
 // allocates nothing per request: the first request for a volume pays one
 // string allocation, every later one reuses it. Bounded so a client
 // spraying names cannot grow it without limit.
@@ -191,73 +181,92 @@ func (nc nameCache) intern(b []byte) string {
 }
 
 // parseRequest decodes a request frame payload (everything after the
-// length prefix).
-func parseRequest(p []byte) (request, error) { return parseRequestNamed(p, nil) }
-
-// parseRequestNamed is parseRequest with volume names interned through
-// names (nil = allocate per call).
-func parseRequestNamed(p []byte, names nameCache) (request, error) {
-	if len(p) < 2 {
-		return request{}, fmt.Errorf("server: request frame %d bytes, want >= 2", len(p))
+// length prefix) into its ID and request, interning the volume name
+// through names (nil = allocate per call). The ID is returned whenever
+// the payload is long enough to carry one, so a malformed request can
+// still be answered.
+func parseRequest(p []byte, names nameCache) (uint64, Request, error) {
+	if len(p) < idSize {
+		return 0, Request{}, fmt.Errorf("server: request frame %d bytes, want >= %d", len(p), idSize+2)
 	}
-	req := request{Op: p[0]}
+	id := binary.LittleEndian.Uint64(p[:idSize])
+	p = p[idSize:]
+	if len(p) < 2 {
+		return id, Request{}, fmt.Errorf("server: request frame %d bytes, want >= %d", idSize+len(p), idSize+2)
+	}
+	req := Request{Op: p[0]}
 	vlen := int(p[1])
 	p = p[2:]
 	if len(p) < vlen {
-		return request{}, fmt.Errorf("server: request truncated inside volume name")
+		return id, Request{}, fmt.Errorf("server: request truncated inside volume name")
 	}
 	req.Volume = names.intern(p[:vlen])
 	p = p[vlen:]
 	switch req.Op {
 	case OpWrite, OpRead:
 		if len(p) != 16 {
-			return request{}, fmt.Errorf("server: %s body %d bytes, want 16", StatusName(StatusBadRequest), len(p))
+			return id, Request{}, fmt.Errorf("server: %s body %d bytes, want 16", StatusName(StatusBadRequest), len(p))
 		}
 		req.Extent = geom.Ext(
 			geom.Sector(binary.LittleEndian.Uint64(p[0:8])),
 			int64(binary.LittleEndian.Uint64(p[8:16])),
 		)
 		if req.Extent.Start < 0 || req.Extent.Count < 0 {
-			return request{}, fmt.Errorf("server: negative extent %v", req.Extent)
+			return id, Request{}, fmt.Errorf("server: negative extent %v", req.Extent)
 		}
 	case OpProof:
 		if len(p) != 8 {
-			return request{}, fmt.Errorf("server: proof body %d bytes, want 8", len(p))
+			return id, Request{}, fmt.Errorf("server: proof body %d bytes, want 8", len(p))
 		}
 		req.Seq = int64(binary.LittleEndian.Uint64(p[0:8]))
 		if req.Seq < 1 {
-			return request{}, fmt.Errorf("server: proof sequence %d, want >= 1", req.Seq)
+			return id, Request{}, fmt.Errorf("server: proof sequence %d, want >= 1", req.Seq)
 		}
 	case OpShip, OpTail, OpAck:
 		if len(p) != 16 {
-			return request{}, fmt.Errorf("server: repl body %d bytes, want 16", len(p))
+			return id, Request{}, fmt.Errorf("server: repl body %d bytes, want 16", len(p))
 		}
 		req.Gen = binary.LittleEndian.Uint64(p[0:8])
 		req.Off = int64(binary.LittleEndian.Uint64(p[8:16]))
 		if req.Off < 0 {
-			return request{}, fmt.Errorf("server: negative repl offset %d", req.Off)
+			return id, Request{}, fmt.Errorf("server: negative repl offset %d", req.Off)
 		}
 	case OpStat, OpSnapshot, OpVerify, OpRole, OpPromote:
 		if len(p) != 0 {
-			return request{}, fmt.Errorf("server: op %d carries %d unexpected body bytes", req.Op, len(p))
+			return id, Request{}, fmt.Errorf("server: op %d carries %d unexpected body bytes", req.Op, len(p))
 		}
 	default:
-		return request{}, fmt.Errorf("server: unknown op %d", req.Op)
+		return id, Request{}, fmt.Errorf("server: unknown op %d", req.Op)
 	}
-	return req, nil
+	return id, req, nil
 }
 
 // appendResponse encodes a response frame:
 //
-//	len uint32 LE | status uint8 | body
+//	len uint32 LE | id uint64 LE | status uint8 | body
 //
 // For StatusOK the body is op-specific (read: frags uint32 LE; stat:
 // JSON statistics; write/snapshot: empty). For errors it is a UTF-8
-// message.
-func appendResponse(dst []byte, status uint8, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(body)))
+// message. A response that would exceed MaxFrame — which the peer's
+// readFrame must reject, taking the whole connection down — is replaced
+// by a StatusInternal response for the same ID naming the size and cap.
+func appendResponse(dst []byte, id uint64, status uint8, body []byte) []byte {
+	if n := idSize + 1 + len(body); n > MaxFrame {
+		status = StatusInternal
+		body = fmt.Appendf(nil, "response of %d bytes exceeds the %d-byte frame cap", n, MaxFrame)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(idSize+1+len(body)))
+	dst = binary.LittleEndian.AppendUint64(dst, id)
 	dst = append(dst, status)
 	return append(dst, body...)
+}
+
+// parseResponse splits a response payload into ID, status and body.
+func parseResponse(p []byte) (id uint64, status uint8, body []byte, err error) {
+	if len(p) < idSize+1 {
+		return 0, 0, nil, fmt.Errorf("server: response frame %d bytes, want >= %d", len(p), idSize+1)
+	}
+	return binary.LittleEndian.Uint64(p[:idSize]), p[idSize], p[idSize+1:], nil
 }
 
 // readFrame reads one length-prefixed frame payload into buf (growing it
@@ -361,168 +370,78 @@ func parseShipBody(p []byte) (epoch uint64, c journal.ShipChunk, err error) {
 	return epoch, c, nil
 }
 
-// handshake is the legacy v1 client hello: write ours, read theirs,
-// require version 1 exactly. A v2 server answers it with version 1 and
-// serves the connection synchronously, so pre-SMRD2 clients interoperate
-// unchanged. Kept for the v1 client path and the raw-frame tests.
-func handshake(rw io.ReadWriter) error {
-	hello := append([]byte(Magic), Version)
-	if _, err := rw.Write(hello); err != nil {
-		return err
-	}
-	var peer [len(Magic) + 1]byte
-	if _, err := io.ReadFull(rw, peer[:]); err != nil {
-		return fmt.Errorf("server: handshake: %w", err)
-	}
-	if string(peer[:len(Magic)]) != Magic {
-		return fmt.Errorf("server: bad handshake magic %q", peer[:len(Magic)])
-	}
-	if peer[len(Magic)] != Version {
-		return fmt.Errorf("server: protocol version %d, want %d", peer[len(Magic)], Version)
-	}
-	return nil
-}
+// The hello is exchanged once per connection, client first. The client
+// sends Magic + Version + a uint16 LE requested window (0 = server
+// default); the server answers Magic + Version + the granted uint16
+// window, which never exceeds a non-zero request. A hello naming an
+// older version is answered with Magic + Version alone and the
+// connection is closed, so the peer learns which version it needs.
+const helloSize = len(Magic) + 1 + 2
 
-// clientHello negotiates version and window from the client side. The
-// client sends Magic + its highest supported version; a v2 hello is
-// followed by a uint16 LE requested window (0 = server default). The
-// server answers Magic + negotiated version, plus the granted uint16
-// window when v2 was negotiated. The granted window never exceeds the
-// request (when the request was non-zero).
-func clientHello(rw io.ReadWriter, version uint8, window int) (negVersion uint8, negWindow int, err error) {
-	if version < Version || version > Version2 {
-		return 0, 0, fmt.Errorf("server: unsupported client version %d", version)
-	}
+// clientHello performs the client side of the hello and returns the
+// granted window.
+func clientHello(rw io.ReadWriter, window int) (int, error) {
 	if window < 0 || window > HardMaxWindow {
-		return 0, 0, fmt.Errorf("server: requested window %d out of range [0, %d]", window, HardMaxWindow)
+		return 0, fmt.Errorf("server: requested window %d out of range [0, %d]", window, HardMaxWindow)
 	}
-	hello := append([]byte(Magic), version)
-	if version >= Version2 {
-		hello = binary.LittleEndian.AppendUint16(hello, uint16(window))
-	}
+	hello := append([]byte(Magic), Version)
+	hello = binary.LittleEndian.AppendUint16(hello, uint16(window))
 	if _, err := rw.Write(hello); err != nil {
-		return 0, 0, fmt.Errorf("server: hello: %w", err)
+		return 0, fmt.Errorf("server: hello: %w", err)
 	}
-	var peer [len(Magic) + 1]byte
-	if _, err := io.ReadFull(rw, peer[:]); err != nil {
-		return 0, 0, fmt.Errorf("server: hello: %w", err)
+	var peer [helloSize]byte
+	if _, err := io.ReadFull(rw, peer[:len(Magic)+1]); err != nil {
+		return 0, fmt.Errorf("server: hello: %w", err)
 	}
 	if string(peer[:len(Magic)]) != Magic {
-		return 0, 0, fmt.Errorf("server: bad hello magic %q", peer[:len(Magic)])
+		return 0, fmt.Errorf("server: bad hello magic %q", peer[:len(Magic)])
 	}
-	negVersion = peer[len(Magic)]
-	if negVersion < Version || negVersion > version {
-		return 0, 0, fmt.Errorf("server: negotiated version %d, asked for <= %d", negVersion, version)
+	if v := peer[len(Magic)]; v != Version {
+		return 0, fmt.Errorf("server: peer speaks protocol version %d, want %d", v, Version)
 	}
-	if negVersion < Version2 {
-		return negVersion, 1, nil
+	if _, err := io.ReadFull(rw, peer[len(Magic)+1:]); err != nil {
+		return 0, fmt.Errorf("server: hello window: %w", err)
 	}
-	var wbuf [2]byte
-	if _, err := io.ReadFull(rw, wbuf[:]); err != nil {
-		return 0, 0, fmt.Errorf("server: hello window: %w", err)
+	granted := int(binary.LittleEndian.Uint16(peer[len(Magic)+1:]))
+	if granted < 1 || (window > 0 && granted > window) {
+		return 0, fmt.Errorf("server: granted window %d, requested %d", granted, window)
 	}
-	negWindow = int(binary.LittleEndian.Uint16(wbuf[:]))
-	if negWindow < 1 || (window > 0 && negWindow > window) {
-		return 0, 0, fmt.Errorf("server: granted window %d, requested %d", negWindow, window)
-	}
-	return negVersion, negWindow, nil
+	return granted, nil
 }
 
-// serverHello answers a client hello: read the client's version (and
-// window request, for v2), clamp both, and reply. maxWindow <= 0 means
-// DefaultMaxWindow.
-func serverHello(rw io.ReadWriter, maxWindow int) (version uint8, window int, err error) {
-	var peer [len(Magic) + 1]byte
-	if _, err := io.ReadFull(rw, peer[:]); err != nil {
-		return 0, 0, fmt.Errorf("server: hello: %w", err)
+// serverHello answers a client hello and returns the window granted:
+// the request, DefaultWindow for a request of 0, clamped to maxWindow
+// (<= 0 means DefaultMaxWindow). A client naming a newer version is
+// served this one, as its hello has the same shape.
+func serverHello(rw io.ReadWriter, maxWindow int) (int, error) {
+	var peer [helloSize]byte
+	if _, err := io.ReadFull(rw, peer[:len(Magic)+1]); err != nil {
+		return 0, fmt.Errorf("server: hello: %w", err)
 	}
 	if string(peer[:len(Magic)]) != Magic {
-		return 0, 0, fmt.Errorf("server: bad hello magic %q", peer[:len(Magic)])
+		return 0, fmt.Errorf("server: bad hello magic %q", peer[:len(Magic)])
 	}
-	version = peer[len(Magic)]
-	if version < Version {
-		return 0, 0, fmt.Errorf("server: client version %d, want >= %d", version, Version)
+	if v := peer[len(Magic)]; v < Version {
+		rw.Write(append([]byte(Magic), Version))
+		return 0, fmt.Errorf("server: refused client protocol version %d, want %d", v, Version)
 	}
-	requested := 0
-	if version >= Version2 {
-		version = Version2 // serve our highest; the client asked for at least it
-		var wbuf [2]byte
-		if _, err := io.ReadFull(rw, wbuf[:]); err != nil {
-			return 0, 0, fmt.Errorf("server: hello window: %w", err)
-		}
-		requested = int(binary.LittleEndian.Uint16(wbuf[:]))
+	if _, err := io.ReadFull(rw, peer[len(Magic)+1:]); err != nil {
+		return 0, fmt.Errorf("server: hello window: %w", err)
 	}
-	window = 1
-	if version >= Version2 {
-		if maxWindow <= 0 {
-			maxWindow = DefaultMaxWindow
-		}
-		if maxWindow > HardMaxWindow {
-			maxWindow = HardMaxWindow
-		}
-		window = requested
-		if window == 0 {
-			window = DefaultWindow
-		}
-		if window > maxWindow {
-			window = maxWindow
-		}
+	if maxWindow <= 0 {
+		maxWindow = DefaultMaxWindow
 	}
-	reply := append([]byte(Magic), version)
-	if version >= Version2 {
-		reply = binary.LittleEndian.AppendUint16(reply, uint16(window))
+	maxWindow = min(maxWindow, HardMaxWindow)
+	window := int(binary.LittleEndian.Uint16(peer[len(Magic)+1:]))
+	if window == 0 {
+		window = DefaultWindow
 	}
+	window = min(window, maxWindow)
+	reply := binary.LittleEndian.AppendUint16(append([]byte(Magic), Version), uint16(window))
 	if _, err := rw.Write(reply); err != nil {
-		return 0, 0, fmt.Errorf("server: hello: %w", err)
+		return 0, fmt.Errorf("server: hello: %w", err)
 	}
-	return version, window, nil
-}
-
-// v2 frame layout: the length-prefixed payload starts with the uint64 LE
-// request ID; the rest is exactly the v1 payload (request: op, vlen,
-// name, body; response: status, body). Frame boundaries are therefore
-// identical across versions — anything that walks frames (the chaos
-// proxy, readFrame) is version-agnostic.
-const idSize = 8
-
-// appendRequestV2 encodes a v2 request frame: len | id | v1 payload.
-func appendRequestV2(dst []byte, id uint64, req request) ([]byte, error) {
-	lenAt := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // patched below
-	dst = binary.LittleEndian.AppendUint64(dst, id)
-	dst, err := appendRequestPayload(dst, req)
-	if err != nil {
-		return dst[:lenAt], err
-	}
-	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
-	return dst, nil
-}
-
-// parseRequestV2 splits a v2 request payload into its ID and the decoded
-// request.
-func parseRequestV2(p []byte, names nameCache) (uint64, request, error) {
-	if len(p) < idSize+1 {
-		return 0, request{}, fmt.Errorf("server: v2 request frame %d bytes, want >= %d", len(p), idSize+1)
-	}
-	id := binary.LittleEndian.Uint64(p[:idSize])
-	req, err := parseRequestNamed(p[idSize:], names)
-	return id, req, err
-}
-
-// appendResponseV2 encodes a v2 response frame: len | id | status | body.
-func appendResponseV2(dst []byte, id uint64, status uint8, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(idSize+1+len(body)))
-	dst = binary.LittleEndian.AppendUint64(dst, id)
-	dst = append(dst, status)
-	return append(dst, body...)
-}
-
-// parseResponseV2 splits a v2 response payload into ID, status and body.
-func parseResponseV2(p []byte) (id uint64, status uint8, body []byte, err error) {
-	if len(p) < idSize+1 {
-		return 0, 0, nil, fmt.Errorf("server: v2 response frame %d bytes, want >= %d", len(p), idSize+1)
-	}
-	return binary.LittleEndian.Uint64(p[:idSize]), p[idSize], p[idSize+1:], nil
+	return window, nil
 }
 
 // framePool recycles frame buffers between connections and response

@@ -70,10 +70,10 @@ func BenchmarkVolumeActor(b *testing.B) {
 // BenchmarkVolumeTCP measures the same write stream through the full
 // network service — hello, framing, the per-connection reader/writer
 // goroutines and the volume actor. "sync" is the one-outstanding-request
-// synchronous client (the v1 shape over SMRD2); "pipelined" keeps the
-// negotiated window full on the same single connection, so the batching
-// on both sides of the wire — the server writer's response coalescing
-// and the actor's batch drain — actually engages. scripts/bench.sh
+// synchronous client (window 1); "pipelined" keeps the negotiated window
+// full on the same single connection, so the batching on both sides of
+// the wire — the server writer's response coalescing and the actor's
+// batch drain — actually engages. scripts/bench.sh
 // gates both against the checked-in baseline.
 func BenchmarkVolumeTCP(b *testing.B) {
 	cases := []struct {

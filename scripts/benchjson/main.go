@@ -17,6 +17,11 @@
 // baseline records 0 allocs/op are skipped by that gate (a 0 -> 1 step
 // is infinite in percent terms, and zero-alloc paths are pinned exactly
 // by the testing.AllocsPerRun tests instead).
+//
+// The baseline records the host CPU from go test's `cpu:` header. When
+// the two baselines name different CPUs, or the old one names none,
+// compare prints both first: absolute ns/op across hosts is a host
+// comparison as much as a code one. The gate's decision ignores it.
 package main
 
 import (
@@ -46,6 +51,7 @@ type Result struct {
 type Baseline struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -103,6 +109,8 @@ func Parse(r io.Reader) (Baseline, error) {
 			b.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			b.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "cpu:"):
+			b.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "pkg:"):
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
@@ -266,6 +274,7 @@ func FormatCompare(oldB, newB Baseline) string {
 		}
 	}
 	var sb strings.Builder
+	sb.WriteString(hostNote(oldB, newB))
 	for _, k := range order {
 		p := m[k]
 		switch {
@@ -287,4 +296,19 @@ func FormatCompare(oldB, newB Baseline) string {
 		}
 	}
 	return sb.String()
+}
+
+// hostNote names both CPUs when the baselines do not come from the same
+// host (or the old one does not say), and is empty otherwise.
+func hostNote(oldB, newB Baseline) string {
+	if oldB.CPU != "" && oldB.CPU == newB.CPU {
+		return ""
+	}
+	name := func(cpu string) string {
+		if cpu == "" {
+			return "(not recorded)"
+		}
+		return cpu
+	}
+	return fmt.Sprintf("hosts differ: baseline cpu %s, this run cpu %s\n", name(oldB.CPU), name(newB.CPU))
 }

@@ -24,8 +24,8 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Goos != "linux" || b.Goarch != "amd64" {
-		t.Errorf("goos/goarch = %q/%q", b.Goos, b.Goarch)
+	if b.Goos != "linux" || b.Goarch != "amd64" || b.CPU != "whatever" {
+		t.Errorf("goos/goarch/cpu = %q/%q/%q", b.Goos, b.Goarch, b.CPU)
 	}
 	if len(b.Benchmarks) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %+v", len(b.Benchmarks), b.Benchmarks)
@@ -144,5 +144,35 @@ func TestRegressionsAllocGate(t *testing.T) {
 	// Gate 0 disables the alloc check entirely.
 	if bad := Regressions(oldB, newB, nil, 0, 0); len(bad) != 0 {
 		t.Errorf("disabled gates still flagged %v", bad)
+	}
+}
+
+func TestCompareNamesHosts(t *testing.T) {
+	bench := []Result{{Pkg: "p", Name: "BenchmarkX", NsPerOp: 100}}
+	slow := []Result{{Pkg: "p", Name: "BenchmarkX", NsPerOp: 200}}
+	here := Baseline{CPU: "Slow CPU @ 2.0GHz", Benchmarks: slow}
+	for _, tc := range []struct {
+		name    string
+		oldCPU  string
+		newCPU  string
+		wantOld string
+	}{
+		{"other host", "Fast CPU @ 4.0GHz", here.CPU, "Fast CPU @ 4.0GHz"},
+		{"no host recorded", "", here.CPU, "(not recorded)"},
+	} {
+		old := Baseline{CPU: tc.oldCPU, Benchmarks: bench}
+		out := FormatCompare(old, here)
+		want := "hosts differ: baseline cpu " + tc.wantOld + ", this run cpu " + here.CPU + "\n"
+		if !strings.HasPrefix(out, want) {
+			t.Errorf("%s: compare output starts %q, want %q", tc.name, out, want)
+		}
+		// The gate decides exactly as before.
+		if bad := Regressions(old, here, nil, 25, 0); len(bad) != 1 {
+			t.Errorf("%s: gate flagged %v, want the one +100%% benchmark", tc.name, bad)
+		}
+	}
+	same := Baseline{CPU: here.CPU, Benchmarks: bench}
+	if out := FormatCompare(same, here); strings.Contains(out, "hosts differ") {
+		t.Errorf("same-host compare names the hosts:\n%s", out)
 	}
 }
